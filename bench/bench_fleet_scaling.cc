@@ -83,13 +83,14 @@ uint64_t MaxGapP99(const DeploymentFleet::FleetStats& stats) {
 }
 
 // Skewed-traffic mode (--zipf-s S): a Zipf(S) fleet — hot head, near-idle
-// tail — served by the lockstep sweep vs the deterministic priority
-// scheduler with a rationed budget. Reports throughput, the fleet-worst p99
-// service latency and the weighted Jain fairness index, cross-checking the
-// per-mode summary fingerprint across thread counts (the scheduler must be
-// exactly thread-count invariant too).
+// tail — served with the scheduler disabled (every backlogged tenant, every
+// round) vs the deterministic priority scheduler with a rationed budget.
+// Reports throughput, the fleet-worst p99 service latency and the weighted
+// Jain fairness index, cross-checking the per-mode summary fingerprint
+// across thread counts (the scheduler must be exactly thread-count
+// invariant too).
 bool RunSkewedTrafficBench(const Options& opt) {
-  PrintHeader("Skewed traffic: lockstep sweep vs priority scheduler");
+  PrintHeader("Skewed traffic: serve-everyone vs priority scheduler");
   ZipfFleetParams zp;
   zp.num_tenants = opt.tenants;
   zp.s = opt.zipf_s;

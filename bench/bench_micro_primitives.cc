@@ -10,6 +10,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -197,7 +198,7 @@ uint64_t RowsFingerprint(const SharedRows& rows) {
 /// The batched path must reproduce the scalar path bit for bit — checked
 /// here over FNV fingerprints of both share arrays so a silent divergence
 /// fails the bench run itself, not just the unit suite.
-void CheckSortFingerprints(size_t n, int threads) {
+void CheckSortFingerprints(size_t n) {
   Rng rng(41 + n);
   const SharedRows input = RandomViewRows(&rng, n);
   Party a0(0, 51), a1(1, 52);
@@ -206,9 +207,8 @@ void CheckSortFingerprints(size_t n, int threads) {
   ObliviousSortScalar(&scalar, &s, kViewSortKeyCol, false);
   Party b0(0, 51), b1(1, 52);
   Protocol2PC batched(&b0, &b1, CostModel::EmpLikeLan());
-  ThreadPool pool(threads);
   SharedRows b = input;
-  ObliviousSort(&batched, &b, kViewSortKeyCol, false, BatchExec{&pool, 1});
+  ObliviousSort(&batched, &b, kViewSortKeyCol, false);
   INCSHRINK_CHECK_EQ(RowsFingerprint(s), RowsFingerprint(b));
   INCSHRINK_CHECK_EQ(scalar.Snapshot().and_gates,
                      batched.Snapshot().and_gates);
@@ -247,18 +247,87 @@ BENCHMARK(BM_ObliviousSortScalar)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_ObliviousSortBatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  CheckSortFingerprints(n, threads);
-  ThreadPool pool(threads);
-  const BatchExec exec{&pool, 128};
-  SortThroughputLoop(state, n,
-                     [&exec](Protocol2PC* proto, SharedRows* rows) {
-                       ObliviousSort(proto, rows, kViewSortKeyCol, false,
-                                     exec);
-                     });
+  CheckSortFingerprints(n);
+  SortThroughputLoop(state, n, [](Protocol2PC* proto, SharedRows* rows) {
+    ObliviousSort(proto, rows, kViewSortKeyCol, false);
+  });
 }
-BENCHMARK(BM_ObliviousSortBatched)
-    ->ArgsProduct({{256, 1024, 4096}, {1, 2, 8}});
+BENCHMARK(BM_ObliviousSortBatched)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// One party pair and protocol per job of a multi-job submission.
+struct JobProto {
+  explicit JobProto(uint64_t seed)
+      : s0(0, seed),
+        s1(1, seed + 1),
+        proto(&s0, &s1, CostModel::EmpLikeLan()) {}
+  Party s0;
+  Party s1;
+  Protocol2PC proto;
+};
+
+constexpr size_t kMultiJobs = 4;
+
+/// Runs kMultiJobs fresh n-row sorts as one ObliviousSortBatch submission
+/// under `exec` and returns the FNV fingerprint of every job's shares and
+/// gate count (same inputs and party seeds on every call).
+uint64_t MultiJobFingerprint(size_t n, const BatchExec& exec) {
+  Rng rng(43 + n);
+  std::vector<std::unique_ptr<JobProto>> protos;
+  std::vector<SharedRows> rows;
+  std::vector<SortJob> jobs;
+  for (size_t j = 0; j < kMultiJobs; ++j) {
+    protos.push_back(std::make_unique<JobProto>(91 + 2 * j));
+    rows.push_back(RandomViewRows(&rng, n));
+  }
+  for (size_t j = 0; j < kMultiJobs; ++j) {
+    jobs.push_back(SortJob{&protos[j]->proto, &rows[j], kViewSortKeyCol, 0,
+                           false, false});
+  }
+  ObliviousSortBatch(jobs.data(), jobs.size(), exec);
+  uint64_t h = 1469598103934665603ull;
+  for (size_t j = 0; j < kMultiJobs; ++j) {
+    h = (h ^ RowsFingerprint(rows[j])) * 1099511628211ull;
+    h = (h ^ protos[j]->proto.Snapshot().and_gates) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Multi-job sort submission: kMultiJobs independent n-row sorts, each on
+/// its own protocol — run in job order on 1 thread, one pool task per job
+/// on more. The fanned-out result must equal the serial one bit for bit
+/// (checked before timing). Timed in wall-clock time, since the work runs
+/// on the pool's workers.
+void BM_ObliviousSortMultiJob(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(1)));
+  const BatchExec exec{&pool, 128};
+  INCSHRINK_CHECK_EQ(MultiJobFingerprint(n, BatchExec{}),
+                     MultiJobFingerprint(n, exec));
+  std::vector<std::unique_ptr<JobProto>> protos;
+  for (size_t j = 0; j < kMultiJobs; ++j) {
+    protos.push_back(std::make_unique<JobProto>(91 + 2 * j));
+  }
+  Rng rng(5);
+  std::vector<SharedRows> rows(kMultiJobs, SharedRows(kViewWidth));
+  std::vector<SortJob> jobs(kMultiJobs);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t j = 0; j < kMultiJobs; ++j) {
+      rows[j] = RandomViewRows(&rng, n);
+      jobs[j] = SortJob{&protos[j]->proto, &rows[j], kViewSortKeyCol, 0,
+                        false, false};
+    }
+    state.ResumeTiming();
+    ObliviousSortBatch(jobs.data(), jobs.size(), exec);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * n * kMultiJobs));
+}
+BENCHMARK(BM_ObliviousSortMultiJob)
+    ->ArgsProduct({{1024}, {1, 4}})
+    ->UseRealTime();
 
 void BM_ObliviousCountBatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -291,8 +360,8 @@ void BM_ObliviousCountBatched(benchmark::State& state) {
 BENCHMARK(BM_ObliviousCountBatched)->Arg(1024)->Arg(8192);
 
 /// Prints the per-layer batch-size histogram of the n-row sorting network:
-/// the layer structure *is* the batching opportunity (each line is one
-/// fused CompareExchangeRowsBatch submission on the hot path).
+/// the layer structure *is* the batching opportunity (each layer is one
+/// aggregate cost event on the hot path).
 void PrintLayerHistogram(size_t n) {
   const std::vector<uint64_t> sizes = SortNetworkLayerSizes(n);
   uint64_t total = 0;
@@ -321,9 +390,10 @@ void PrintLayerHistogram(size_t n) {
 // Waksman permutation-network shuffles
 // ---------------------------------------------------------------------------
 
-/// Serial-vs-pooled bit-equality gate for the shuffle scheduler, mirroring
-/// CheckSortFingerprints: a silent divergence fails the bench run itself.
-void CheckShuffleFingerprints(size_t n, int threads) {
+/// Bit-equality gate for the shuffle path, mirroring CheckSortFingerprints:
+/// ObliviousRandomPermute must equal an explicit DrawPublicPermutation +
+/// ObliviousShuffle, so a silent divergence fails the bench run itself.
+void CheckShuffleFingerprints(size_t n) {
   Rng rng(61 + n);
   const SharedRows input = RandomViewRows(&rng, n);
   Party a0(0, 71), a1(1, 72);
@@ -333,11 +403,8 @@ void CheckShuffleFingerprints(size_t n, int threads) {
   ObliviousShuffle(&serial, &s, perm);
   Party b0(0, 71), b1(1, 72);
   Protocol2PC batched(&b0, &b1, CostModel::EmpLikeLan());
-  const std::vector<uint32_t> perm_b = DrawPublicPermutation(&batched, n);
-  INCSHRINK_CHECK(perm == perm_b);
-  ThreadPool pool(threads);
   SharedRows b = input;
-  ObliviousShuffle(&batched, &b, perm, BatchExec{&pool, 1});
+  ObliviousRandomPermute(&batched, &b);
   INCSHRINK_CHECK_EQ(RowsFingerprint(s), RowsFingerprint(b));
   INCSHRINK_CHECK_EQ(serial.Snapshot().and_gates,
                      batched.Snapshot().and_gates);
@@ -345,16 +412,12 @@ void CheckShuffleFingerprints(size_t n, int threads) {
 
 void BM_ObliviousShuffle(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  CheckShuffleFingerprints(n, threads);
-  ThreadPool pool(threads);
-  const BatchExec exec{&pool, 128};
-  SortThroughputLoop(state, n,
-                     [&exec](Protocol2PC* proto, SharedRows* rows) {
-                       ObliviousRandomPermute(proto, rows, exec);
-                     });
+  CheckShuffleFingerprints(n);
+  SortThroughputLoop(state, n, [](Protocol2PC* proto, SharedRows* rows) {
+    ObliviousRandomPermute(proto, rows);
+  });
 }
-BENCHMARK(BM_ObliviousShuffle)->ArgsProduct({{256, 1024, 4096}, {1, 2, 8}});
+BENCHMARK(BM_ObliviousShuffle)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_ObliviousShuffleSort(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

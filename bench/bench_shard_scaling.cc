@@ -6,12 +6,15 @@
 // Each (K, threads) cell runs the same TPC-ds stream through one engine
 // with `num_cache_shards = K` and `cache_shard_threads = threads`. Shrink
 // is configured to fire often (small timer interval, regular flushes) so
-// the per-shard oblivious sorts dominate; on a multicore host the K = 4
-// row should speed up toward 4 threads while producing bit-identical
-// results — the bench cross-checks a summary+transcript fingerprint across
-// all thread counts of each K and prints the verdict. (On a 1-core CI
-// container the speedup column stays ~1x; the determinism cross-check is
-// the part that must always hold.)
+// the per-shard oblivious sorts dominate. The shard pool runs the per-shard
+// Shrink plans and commits and one cache sort per shard as one pool task
+// each; every sorting network itself is serial. At this stream's cache
+// sizes a step's per-shard work is small next to the fork-join wake-ups,
+// so threaded cells need not beat the 1-thread cell of their K: on a
+// 4-core x86-64 host they ran at 0.35-0.95x. The speedup column measures
+// that overhead; the part that must always hold is the determinism
+// cross-check — the bench compares a summary+transcript fingerprint across
+// all thread counts of each K and prints the verdict.
 //
 // Wall time is measurement-only (std::chrono::steady_clock around Run);
 // nothing timed ever feeds back into simulated results.

@@ -73,7 +73,7 @@ Status IncShrinkConfig::Validate() const {
         "64-bit priority arithmetic");
   if (oblivious_batch_min_layer == 0)
     return Status::InvalidArgument(
-        "oblivious_batch_min_layer must be >= 1 (1 = always pool-split)");
+        "oblivious_batch_min_layer must be >= 1 (1 = always fan out)");
   if (sort_algorithm != SortAlgorithm::kBatcher &&
       sort_algorithm != SortAlgorithm::kShuffleSort)
     return Status::InvalidArgument(

@@ -82,9 +82,11 @@ struct IncShrinkConfig {
   /// deployment's ThreadPool with results merged in fixed shard order.
   /// Flushes and the sDPANT threshold apply per shard.
   uint32_t num_cache_shards = 1;
-  /// Worker count for the per-shard Shrink fork-join (K > 1 only).
-  /// 0 = INCSHRINK_THREADS override, else hardware concurrency; always
-  /// capped at the shard count. Never affects results, only wall time.
+  /// Worker count of the deployment's shard pool (K > 1 DP strategies
+  /// only), which runs the per-shard Shrink plans and commits and fans the
+  /// shards' cache sorts out one job per shard. 0 = INCSHRINK_THREADS
+  /// override, else hardware concurrency; always capped at the shard
+  /// count. Never affects results, only wall time.
   int cache_shard_threads = 0;
 
   // --- fleet serving ---
@@ -92,17 +94,19 @@ struct IncShrinkConfig {
   /// priority-scheduled DeploymentFleet: a tenant with weight 2w accrues
   /// priority twice as fast as one with weight w at equal backlog/deadline
   /// pressure. Public configuration by definition (the scheduler must never
-  /// read secret state), ignored by the lockstep fleet and by standalone
-  /// engines. Bounded so priority arithmetic stays exact in 64 bits.
+  /// read secret state), ignored by a fleet whose scheduler is disabled and
+  /// by standalone engines. Bounded so priority arithmetic stays exact in
+  /// 64 bits.
   uint32_t sla_weight = 1;
 
   // --- batched oblivious execution ---
-  /// Minimum combined compare-exchange count of a sorting-network layer (or
-  /// fused cross-shard layer round) before the batch executor splits it
-  /// across the deployment's ThreadPool; smaller layers run the serial
-  /// batch kernel on the submitting thread. Purely a scheduling threshold:
-  /// results are bit-identical at any value and any worker count (batched
-  /// submissions pre-draw their resharing masks in scalar call order).
+  /// Job fan-out threshold, counted in rows: a multi-shard sort or permute
+  /// submission whose jobs hold at least this many rows in all runs one
+  /// job per shard-pool task; smaller submissions run their jobs in shard
+  /// order on the submitting thread. Every sorting and shuffle network
+  /// itself always runs serially. Purely a scheduling threshold: results
+  /// are bit-identical at any value and any worker count (each job runs
+  /// whole on its own shard protocol).
   uint32_t oblivious_batch_min_layer = 128;
   /// Execution policy of the oblivious cache sorts (Shrink sync order and
   /// the flush path). kBatcher — the reference odd-even merge network the

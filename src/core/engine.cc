@@ -193,9 +193,6 @@ Engine::Engine(const IncShrinkConfig& config)
                              config_.cache_shard_threads)),
                          cache_.num_shards())));
   }
-  // The transform's join/compaction sorts share the deployment's batch
-  // execution policy (and pool) with the Shrink-phase cache sorts.
-  transform_.set_sort_exec(batch_exec());
 }
 
 uint64_t Engine::MaterializeAll() {
@@ -364,8 +361,8 @@ Status Engine::BeginStepImpl() {
       // Per-shard Shrink plans. Every shard plans on its own protocol
       // instance, so the K tasks share no mutable state; with K > 1 they
       // run concurrently on the shard pool. The fired shards' cache sorts
-      // become one fused batch submission (executed by FinishStep, or by
-      // the fleet when it coalesces sorts across tenants).
+      // become one multi-job submission (executed by FinishStep, or by the
+      // caller that took them).
       p.dp = true;
       const size_t num = cache_.num_shards();
       p.plans.resize(num);
@@ -416,9 +413,9 @@ Status Engine::FinishStep() {
 
   if (p.dp) {
     const size_t num = cache_.num_shards();
-    // Fused sync sorts of the fired shards (unless the caller already
-    // executed the jobs it took): one cross-shard batch submission whose
-    // layer rounds pool all shards' pair work on the deployment pool.
+    // Sync sorts of the fired shards (unless the caller already executed
+    // the jobs it took): one multi-job submission, one job per shard on the
+    // deployment pool.
     if (!p.jobs_taken && !p.jobs.empty()) {
       ObliviousSortBatch(p.jobs.data(), p.jobs.size(), batch_exec());
     }
@@ -436,7 +433,7 @@ Status Engine::FinishStep() {
                                         &p.staged_sync[k]);
     });
 
-    // Flush phase: public schedule, so one fused submission sorts every
+    // Flush phase: public schedule, so one multi-job submission sorts every
     // shard's remaining cache, then the fixed-prefix commits run per shard.
     std::vector<ShrinkResult> flushes(num);
     std::vector<MaterializedView> staged_flush(num);
@@ -446,8 +443,8 @@ Status Engine::FinishStep() {
         before[k] = cache_.shard_proto(k)->Snapshot();
       }
       if (config_.sort_algorithm == SortAlgorithm::kShuffleSort) {
-        // Shuffle tier: flushes recycle the suffix anyway, so a fused
-        // random Waksman permute replaces the cross-shard flush sort.
+        // Shuffle tier: flushes recycle the suffix anyway, so a random
+        // Waksman permute per shard replaces the flush sort.
         std::vector<PermuteJob> permute_jobs;
         permute_jobs.reserve(num);
         for (size_t k = 0; k < num; ++k) {

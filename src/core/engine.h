@@ -72,16 +72,17 @@ class Engine {
   Status Step();
 
   // ------------------------------------------------------------------
-  // Phase-split stepping (cross-tenant sort coalescing).
+  // Phase-split stepping.
   //
   // BeginStep runs the step through the Shrink plans (drain, transform,
   // per-shard timer/ANT decisions), TakePendingSortJobs exposes the fired
-  // shards' cache sorts as batchable jobs, and FinishStep completes the
-  // step (sync commits, flush phase, analyst query). BeginStep + execute
-  // jobs + FinishStep is bit-identical to Step() at any thread count;
-  // Step() itself is implemented exactly that way, executing the jobs on
-  // the deployment-local pool. DeploymentFleet uses the split to fuse
-  // same-shaped sorts across tenants into one batch submission per round.
+  // shards' cache sorts as jobs, and FinishStep completes the step (sync
+  // commits, flush phase, analyst query). BeginStep + execute jobs +
+  // FinishStep is bit-identical to Step() at any thread count; Step()
+  // itself is implemented exactly that way, executing the jobs on the
+  // deployment-local pool. A caller that times the cache sorts apart from
+  // the rest of the step (the traced benchmark run in perfbench/) runs the
+  // jobs itself between the two halves.
   // ------------------------------------------------------------------
 
   /// First phase of Step(). Must be balanced by FinishStep().
@@ -225,7 +226,8 @@ class Engine {
   /// Body of BeginStep (wrapped so error returns reset the pending state).
   Status BeginStepImpl();
 
-  /// Batch execution policy of this deployment's oblivious submissions.
+  /// Job fan-out policy of this deployment's multi-shard sort and permute
+  /// submissions.
   BatchExec batch_exec() {
     return BatchExec{shard_pool_.get(), config_.oblivious_batch_min_layer};
   }

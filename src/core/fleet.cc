@@ -48,8 +48,6 @@ DeploymentFleet::DeploymentFleet(std::vector<TenantSpec> tenants,
     : tenants_(std::move(tenants)),
       cursor_(tenants_.size(), 0),
       owner_lead_(options.owner_lead),
-      coalesce_sorts_(options.coalesce_sorts),
-      batch_min_layer_(options.batch_min_layer),
       scheduler_(options.scheduler),
       age_(tenants_.size(), 0),
       services_(tenants_.size(), 0),
@@ -108,116 +106,6 @@ void DeploymentFleet::RunOwnerPhase(size_t i) {
   }
 }
 
-void DeploymentFleet::RecordService(size_t i) {
-  ++services_[i];
-  service_gaps_[i].push_back(rounds_ - last_service_round_[i]);
-  last_service_round_[i] = rounds_;
-}
-
-void DeploymentFleet::ServiceTenants(const std::vector<size_t>& serve) {
-  if (serve.empty()) return;
-  for (const size_t i : serve) RecordService(i);
-  if (!coalesce_sorts_) {
-    pool_.ParallelFor(serve.size(), [&](size_t k) {
-      INCSHRINK_CHECK(engines_[serve[k]]->Step().ok());
-    });
-    return;
-  }
-  // Phase split: per-tenant BeginStep (plan) concurrently, then one fused
-  // cross-tenant submission — every fired shard sort of every serviced
-  // tenant advances through its network in shared layer rounds on the fleet
-  // pool. Jobs run on pairwise-distinct protocols (one per tenant shard),
-  // so each tenant's randomness stream and cost totals are exactly those of
-  // an unfused round. Finally the per-tenant commits, concurrent again.
-  std::vector<std::vector<SortJob>> tenant_jobs(serve.size());
-  pool_.ParallelFor(serve.size(), [&](size_t k) {
-    Engine& engine = *engines_[serve[k]];
-    INCSHRINK_CHECK(engine.BeginStep().ok());
-    tenant_jobs[k] = engine.TakePendingSortJobs();
-  });
-  std::vector<SortJob> fused;
-  for (std::vector<SortJob>& jobs : tenant_jobs) {
-    fused.insert(fused.end(), jobs.begin(), jobs.end());
-  }
-  if (!fused.empty()) {
-    ObliviousSortBatch(fused.data(), fused.size(),
-                       BatchExec{&pool_, batch_min_layer_});
-    fused_sort_jobs_ += fused.size();
-    ++fused_sort_submissions_;
-  }
-  pool_.ParallelFor(serve.size(), [&](size_t k) {
-    INCSHRINK_CHECK(engines_[serve[k]]->FinishStep().ok());
-  });
-}
-
-size_t DeploymentFleet::StepAll() {
-  return scheduler_.enabled ? StepAllScheduled() : StepAllLockstep();
-}
-
-size_t DeploymentFleet::StepAllLockstep() {
-  // The set of tenants that participate in this round is decided up front
-  // (it depends only on the cursors and queue depths, never on scheduling),
-  // then executed concurrently: each task touches exactly one tenant's
-  // owners, channels, engine and cursor, so any interleaving of tasks
-  // yields the same per-tenant state.
-  std::vector<size_t> live;
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (cursor_[i] < tenants_[i].workload->steps() ||
-        engines_[i]->queue_depth() > 0) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) return 0;
-  ++rounds_;
-  // Phase A — per-tenant, concurrent: owner pushes plus either the whole
-  // engine step (unfused) or its BeginStep half (coalescing). Each task
-  // touches only tenant i's state.
-  std::vector<std::vector<SortJob>> tenant_jobs(live.size());
-  std::vector<uint8_t> stepped(live.size(), 0);
-  pool_.ParallelFor(live.size(), [&](size_t k) {
-    const size_t i = live[k];
-    RunOwnerPhase(i);
-    Engine& engine = *engines_[i];
-    // Engine phase: step iff frames are queued; a backlogged tenant drains
-    // up to max_batches_per_step owner steps in this one engine step.
-    if (engine.queue_depth() > 0) {
-      stepped[k] = 1;
-      if (!coalesce_sorts_) {
-        INCSHRINK_CHECK(engine.Step().ok());
-      } else {
-        INCSHRINK_CHECK(engine.BeginStep().ok());
-        tenant_jobs[k] = engine.TakePendingSortJobs();
-      }
-    }
-  });
-  // Service-latency bookkeeping (stat-only; lockstep services every
-  // backlogged tenant every round, so gaps here are typically all 1).
-  for (size_t k = 0; k < live.size(); ++k) {
-    if (stepped[k]) RecordService(live[k]);
-  }
-  if (!coalesce_sorts_) return live.size();
-
-  // Phase B — the fused cross-tenant submission (see ServiceTenants; this
-  // path keeps owner pushes and BeginStep fused in one task per tenant, the
-  // exact PR 5 cadence).
-  std::vector<SortJob> fused;
-  for (std::vector<SortJob>& jobs : tenant_jobs) {
-    fused.insert(fused.end(), jobs.begin(), jobs.end());
-  }
-  if (!fused.empty()) {
-    ObliviousSortBatch(fused.data(), fused.size(),
-                       BatchExec{&pool_, batch_min_layer_});
-    fused_sort_jobs_ += fused.size();
-    ++fused_sort_submissions_;
-  }
-
-  // Phase C — per-tenant commits, concurrent again.
-  pool_.ParallelFor(live.size(), [&](size_t k) {
-    if (stepped[k]) INCSHRINK_CHECK(engines_[live[k]]->FinishStep().ok());
-  });
-  return live.size();
-}
-
 uint64_t DeploymentFleet::PriorityKey(size_t i) const {
   const Engine& e = *engines_[i];
   const uint64_t dist = e.StepsToNextPublicRelease();
@@ -231,7 +119,7 @@ uint64_t DeploymentFleet::PriorityKey(size_t i) const {
 }
 
 uint64_t DeploymentFleet::StarvationBoundRounds() const {
-  if (!scheduler_.enabled) return 1;
+  if (!scheduler_.enabled || tenants_.empty()) return 1;
   // Pmax: the largest base (age-free) priority any tenant can ever hold —
   // its queue depth is capped by the channel capacity, its urgency by the
   // horizon. See the header comment for the bound's derivation.
@@ -252,7 +140,9 @@ uint64_t DeploymentFleet::StarvationBoundRounds() const {
   return d + (n - 1 + b - 1) / std::max<uint64_t>(b, 1) + 1;
 }
 
-size_t DeploymentFleet::StepAllScheduled() {
+size_t DeploymentFleet::StepAll() {
+  // The set of tenants that participate in this round is decided up front
+  // (it depends only on the cursors and queue depths, never on scheduling).
   std::vector<size_t> live;
   for (size_t i = 0; i < tenants_.size(); ++i) {
     if (cursor_[i] < tenants_[i].workload->steps() ||
@@ -263,12 +153,11 @@ size_t DeploymentFleet::StepAllScheduled() {
   if (live.empty()) return 0;
   ++rounds_;
 
-  // Phase O — exogenous arrivals: every live tenant's owners push this
-  // round whether or not the tenant wins engine service (traffic does not
-  // wait for the scheduler; the scheduler rations *service*, and unserviced
-  // tenants simply accumulate public backlog). Identical per-tenant code to
-  // the lockstep owner phase, so a scheduler that selects everyone
-  // reproduces the sweep bit for bit.
+  // Arrivals: every live tenant's owners push this round whether or not the
+  // tenant wins engine service (traffic does not wait for the scheduler;
+  // the scheduler rations *service*, and unserviced tenants simply
+  // accumulate public backlog). Each task touches only tenant i's owners,
+  // channels and cursor, so any interleaving yields the same state.
   pool_.ParallelFor(live.size(),
                     [&](size_t k) { RunOwnerPhase(live[k]); });
 
@@ -276,13 +165,10 @@ size_t DeploymentFleet::StepAllScheduled() {
   // queue depths, engine clocks, config weights and age counters. Sorting
   // by (key descending, tenant id ascending) is a fixed total order, so the
   // schedule is bit-identical at any thread count.
-  std::vector<size_t> backlogged;
-  for (const size_t i : live) {
-    if (engines_[i]->queue_depth() > 0) backlogged.push_back(i);
-  }
   std::vector<std::pair<uint64_t, size_t>> order;
-  order.reserve(backlogged.size());
-  for (const size_t i : backlogged) order.emplace_back(PriorityKey(i), i);
+  for (const size_t i : live) {
+    if (engines_[i]->queue_depth() > 0) order.emplace_back(PriorityKey(i), i);
+  }
   std::sort(order.begin(), order.end(),
             [](const std::pair<uint64_t, size_t>& a,
                const std::pair<uint64_t, size_t>& b) {
@@ -290,14 +176,16 @@ size_t DeploymentFleet::StepAllScheduled() {
               return a.second < b.second;
             });
   const size_t budget =
-      scheduler_.services_per_round == 0
+      !scheduler_.enabled || scheduler_.services_per_round == 0
           ? order.size()
           : std::min<size_t>(scheduler_.services_per_round, order.size());
   std::vector<size_t> serve;
   serve.reserve(budget);
   for (size_t k = 0; k < budget; ++k) serve.push_back(order[k].second);
 
-  schedule_log_.emplace_back(serve.begin(), serve.end());
+  if (scheduler_.enabled) {
+    schedule_log_.emplace_back(serve.begin(), serve.end());
+  }
   // Aging: winners reset, every other backlogged tenant moves one round
   // closer to guaranteed service. (Idle tenants neither age nor need to.)
   for (size_t k = 0; k < order.size(); ++k) {
@@ -305,8 +193,17 @@ size_t DeploymentFleet::StepAllScheduled() {
         k < budget ? 0 : SatAdd(age_[order[k].second], 1);
   }
 
-  // Phase E — engine service for the selected set.
-  ServiceTenants(serve);
+  // Service: one engine step per selected tenant, concurrently; a
+  // backlogged tenant drains up to max_batches_per_step owner steps in this
+  // one engine step.
+  for (const size_t i : serve) {
+    ++services_[i];
+    service_gaps_[i].push_back(rounds_ - last_service_round_[i]);
+    last_service_round_[i] = rounds_;
+  }
+  pool_.ParallelFor(serve.size(), [&](size_t k) {
+    INCSHRINK_CHECK(engines_[serve[k]]->Step().ok());
+  });
   return live.size();
 }
 
@@ -429,8 +326,6 @@ Status DeploymentFleet::RestoreTenant(size_t i,
 DeploymentFleet::FleetStats DeploymentFleet::AggregateStats() const {
   FleetStats stats;
   stats.rounds = rounds_;
-  stats.fused_sort_jobs = fused_sort_jobs_;
-  stats.fused_sort_submissions = fused_sort_submissions_;
   std::vector<double> weighted_service(engines_.size(), 0.0);
   stats.tenant_service.resize(engines_.size());
   for (size_t i = 0; i < engines_.size(); ++i) {

@@ -29,17 +29,18 @@ uint64_t DeriveTenantSeed(uint64_t root_seed, size_t tenant_index);
 /// time. The fleet's only cross-tenant artifacts are aggregate throughput
 /// counters and the (public) service schedule.
 ///
-/// Two round disciplines:
+/// One round discipline. Every round has two phases, each concurrent
+/// across the pool:
 ///
-///  * **Lockstep sweep** (`scheduler.enabled == false`, the default, and
-///    the benchmarking cadence since PR 2): every live tenant runs one
-///    round task — owner pushes up to the configured lead, then one engine
-///    step iff frames are queued.
+///  * **Arrivals**: every live tenant's owners push frames up to the
+///    configured lead over the engine's clock. Arrivals are exogenous —
+///    they happen whether or not the tenant wins engine service.
 ///
-///  * **Deterministic priority scheduler** (`scheduler.enabled == true`,
-///    the traffic-serving cadence): arrivals are exogenous — every live
-///    tenant's owners still push each round — but *engine service* is
-///    rationed. Each round the fleet computes a public priority key per
+///  * **Service**: a set of backlogged tenants (queued frames) each runs
+///    one engine step. With `scheduler.enabled == false` (the default) or
+///    `services_per_round == 0`, every backlogged tenant is served. With
+///    a positive budget B, service is rationed by a deterministic priority
+///    scheduler: each round the fleet computes a public priority key per
 ///    backlogged tenant,
 ///
 ///        key(i) = sla_weight_i * (depth_weight * queue_depth_i + urgency_i)
@@ -48,13 +49,13 @@ uint64_t DeriveTenantSeed(uint64_t root_seed, size_t tenant_index);
 ///    where urgency_i = max(0, H - StepsToNextPublicRelease(i)) pulls
 ///    tenants whose next publicly scheduled DP release (timer fire / cache
 ///    flush) is near, and age_i counts backlogged rounds since tenant i was
-///    last serviced. The top `services_per_round` tenants by the fixed
-///    total order (key descending, tenant id ascending) receive an engine
-///    step; everyone else ages. Every input is public — queue depths,
-///    clocks, config weights — so the schedule is a function of public
-///    state only and can never leak secret cache contents
-///    (tests/oblivious_invariants_test.cc), and it is computed serially
-///    before any worker runs, so it is bit-identical at any thread count.
+///    last serviced. The top B tenants by the fixed total order (key
+///    descending, tenant id ascending) receive an engine step; everyone
+///    else ages. Every input is public — queue depths, clocks, config
+///    weights — so the schedule is a function of public state only and can
+///    never leak secret cache contents (tests/oblivious_invariants_test.cc),
+///    and it is computed serially before any engine work runs, so it is
+///    bit-identical at any thread count.
 ///
 ///    Starvation-freedom: base priorities are bounded (depths by channel
 ///    capacity, urgency by H, weights by config), while age grows
@@ -62,10 +63,9 @@ uint64_t DeriveTenantSeed(uint64_t root_seed, size_t tenant_index);
 ///    tenant is therefore serviced within StarvationBoundRounds() rounds of
 ///    its previous service — see the proof sketch on that accessor.
 ///
-///    With uniform weights and services_per_round >= the tenant count (or
-///    0 = "all"), every backlogged tenant is selected every round and the
-///    scheduler reproduces the lockstep sweep bit for bit
-///    (tests/fleet_scheduler_test.cc).
+/// Serving every backlogged tenant is the same whichever way it is spelled
+/// (scheduler disabled, B = 0, or B >= the tenant count), at any weights,
+/// bit for bit (tests/fleet_scheduler_test.cc).
 class DeploymentFleet {
  public:
   struct TenantSpec {
@@ -82,10 +82,10 @@ class DeploymentFleet {
   /// Knobs of the deterministic priority scheduler. All fields are public
   /// constants; none may ever be derived from secret state.
   struct SchedulerOptions {
-    /// Off (default): the legacy lockstep sweep, untouched.
+    /// Off (default): every backlogged tenant is served every round, and
+    /// no schedule is logged.
     bool enabled = false;
-    /// B: engine services granted per round. 0 = every backlogged tenant
-    /// (with uniform weights this reproduces the lockstep sweep exactly).
+    /// B: engine services granted per round. 0 = every backlogged tenant.
     uint32_t services_per_round = 0;
     /// A: priority gained per backlogged-but-unserviced round. Must be
     /// >= 1 — aging is what guarantees starvation-freedom; larger values
@@ -108,29 +108,16 @@ class DeploymentFleet {
     /// round — the pre-transport fleet cadence, bit for bit. Leads are
     /// additionally bounded by the channel capacity (public backpressure).
     uint32_t owner_lead = 0;
-    /// Cross-tenant sort coalescing: when set, every round splits tenant
-    /// steps into BeginStep (plan) / FinishStep (commit) phases and fuses
-    /// all tenants' fired cache sorts into one ObliviousSortBatch
-    /// submission between them, so same-shaped sorting networks advance in
-    /// shared layer rounds on the fleet pool instead of serializing tenant
-    /// by tenant. Scheduling only: every tenant's protocol stream is
-    /// untouched (jobs run on pairwise-distinct protocols), so summaries
-    /// and transcripts are bit-identical to the unfused fleet at any
-    /// thread count (tests/batched_oblivious_test.cc). Composes with the
-    /// priority scheduler: the fused submission spans whichever tenants
-    /// were selected this round.
-    bool coalesce_sorts = false;
-    /// `oblivious_batch_min_layer` of the fused cross-tenant submissions.
-    uint32_t batch_min_layer = 128;
     /// Deterministic deadline/priority service discipline (see class
-    /// comment). Default-constructed = disabled = the legacy sweep.
+    /// comment). Default-constructed = disabled = serve every backlogged
+    /// tenant.
     SchedulerOptions scheduler{};
   };
 
   DeploymentFleet(std::vector<TenantSpec> tenants, const Options& options);
 
-  /// Advances the fleet by one round (see class comment for the two round
-  /// disciplines), concurrently across the pool. Returns how many tenants
+  /// Advances the fleet by one round (see class comment), concurrently
+  /// across the pool. Returns how many tenants
   /// were live this round (0 == the whole fleet is drained).
   size_t StepAll();
 
@@ -185,8 +172,8 @@ class DeploymentFleet {
   /// serviced tenants leave it permanently — and it empties within
   /// ceil((N - 1) / B) further rounds. Property-tested under adversarial
   /// weight/depth patterns in tests/fleet_scheduler_test.cc. Returns 1 when
-  /// the scheduler is disabled (lockstep services every live tenant every
-  /// round).
+  /// the scheduler is disabled (every backlogged tenant is served every
+  /// round) or the fleet has no tenants.
   uint64_t StarvationBoundRounds() const;
 
   /// Per-round service schedule: schedule_log()[r] lists the tenants
@@ -205,7 +192,7 @@ class DeploymentFleet {
     uint64_t services = 0;  ///< engine steps granted to this tenant
     /// Nearest-rank percentiles and maximum of the tenant's service
     /// latency: rounds elapsed between consecutive engine services (1 =
-    /// serviced every round, as in lockstep).
+    /// serviced every round).
     uint64_t gap_p50 = 0;
     uint64_t gap_p95 = 0;
     uint64_t gap_p99 = 0;
@@ -220,8 +207,6 @@ class DeploymentFleet {
     /// push time inside UploadChannel (never sampled at round boundaries,
     /// which would miss intra-round peaks under an owner lead).
     uint64_t max_queue_depth = 0;
-    uint64_t fused_sort_jobs = 0;        ///< tenant sorts run coalesced
-    uint64_t fused_sort_submissions = 0; ///< cross-tenant batch submissions
     double simulated_mpc_seconds = 0;
     double simulated_query_seconds = 0;
     /// Per-tenant service-latency stats, indexed like the tenant specs.
@@ -237,20 +222,8 @@ class DeploymentFleet {
 
  private:
   /// Owner phase of tenant `i`: push frames up to the configured lead over
-  /// the engine's clock (both round disciplines run exactly this).
+  /// the engine's clock.
   void RunOwnerPhase(size_t i);
-
-  /// Engine phase for the round's `serve` set (tenant indices): plain
-  /// Step(), or the BeginStep / fused cross-tenant sort / FinishStep split
-  /// when `coalesce_sorts` is set. Shared by both round disciplines.
-  void ServiceTenants(const std::vector<size_t>& serve);
-
-  /// Service-latency bookkeeping for a tenant granted an engine step in the
-  /// current round.
-  void RecordService(size_t i);
-
-  size_t StepAllLockstep();
-  size_t StepAllScheduled();
 
   std::vector<TenantSpec> tenants_;
   std::vector<std::unique_ptr<Engine>> engines_;
@@ -258,8 +231,6 @@ class DeploymentFleet {
   std::vector<std::unique_ptr<OwnerClient>> owners2_;
   std::vector<uint64_t> cursor_;  ///< next stream index per tenant's owners
   uint32_t owner_lead_;
-  bool coalesce_sorts_;
-  uint32_t batch_min_layer_;
   SchedulerOptions scheduler_;
   /// Backlogged-but-unserviced rounds per tenant (scheduler aging term).
   std::vector<uint64_t> age_;
@@ -268,8 +239,6 @@ class DeploymentFleet {
   std::vector<std::vector<uint64_t>> service_gaps_;  ///< rounds between
   std::vector<std::vector<uint32_t>> schedule_log_;
   uint64_t rounds_ = 0;
-  uint64_t fused_sort_jobs_ = 0;
-  uint64_t fused_sort_submissions_ = 0;
   ThreadPool pool_;
 };
 

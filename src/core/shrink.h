@@ -17,13 +17,13 @@ struct ShrinkResult {
   double simulated_seconds = 0;  ///< simulated MPC time consumed
 };
 
-/// \brief Phase-split Shrink stepping, the seam batched sort fusion plugs
-/// into: `Plan()` runs everything up to (not including) the oblivious cache
-/// sort — the timer check / noisy-threshold comparison and the DP release
-/// draws — and decides whether the shard fires; the caller then sorts the
-/// shard's cache (possibly fused with other shards'/tenants' sorts in one
-/// batch submission); `Commit()` performs the prefix fetch, view append and
-/// counter/threshold maintenance. Plan + sort + Commit on one shard is
+/// \brief Phase-split Shrink stepping, the seam multi-shard sort
+/// submissions plug into: `Plan()` runs everything up to (not including)
+/// the oblivious cache sort — the timer check / noisy-threshold comparison
+/// and the DP release draws — and decides whether the shard fires; the
+/// caller then sorts the shard's cache (possibly as one job of a
+/// multi-shard submission); `Commit()` performs the prefix fetch, view
+/// append and counter/threshold maintenance. Plan + sort + Commit on one shard is
 /// bit-identical to `Step()` (which remains, and is implemented that way).
 struct ShrinkPlan {
   bool fired = false;          ///< whether the shard's cache must be sorted
@@ -115,7 +115,7 @@ ShrinkResult MaybeFlushCache(Protocol2PC* proto,
                              SecureCache* cache, MaterializedView* view);
 
 /// Whether step `t` is a flush step — the (public) pre-sort half of
-/// MaybeFlushCache, split out for fused flush-sort submissions.
+/// MaybeFlushCache, split out for multi-shard flush-sort submissions.
 bool FlushDue(const IncShrinkConfig& config, uint64_t t);
 
 /// Post-sort half of MaybeFlushCache: fetches the fixed prefix from the

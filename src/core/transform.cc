@@ -208,13 +208,13 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
   SharedRows padded(kViewWidth);
 
   if (config_.op == TransformOperator::kSortMergeJoin) {
-    JoinResult a = TruncatedSortMergeJoin(proto_, new1, t2_in, spec,
-                                          seq, &usage, sort_exec_);
+    JoinResult a =
+        TruncatedSortMergeJoin(proto_, new1, t2_in, spec, seq, &usage);
     real_entries += a.real_count;
     padded.AppendAll(a.rows);
     if (!old1.empty() && !new2.empty()) {
-      JoinResult b = TruncatedSortMergeJoin(proto_, old1, new2, spec,
-                                            seq, &usage, sort_exec_);
+      JoinResult b =
+          TruncatedSortMergeJoin(proto_, old1, new2, spec, seq, &usage);
       real_entries += b.real_count;
       padded.AppendAll(b.rows);
     }
@@ -304,8 +304,7 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
     // EP baseline: cache the raw exhaustively padded operator outputs.
     compacted = std::move(padded);
   } else if (padded.size() > bound) {
-    ObliviousSort(proto_, &padded, kViewSortKeyCol, /*ascending=*/false,
-                  sort_exec_);
+    ObliviousSort(proto_, &padded, kViewSortKeyCol, /*ascending=*/false);
     // In place: the suffix is discarded anyway, so truncating and moving
     // avoids SplitPrefix's copy of `bound` rows every hot-loop step.
     padded.Truncate(bound);

@@ -82,11 +82,6 @@ class TransformProtocol {
   /// stability constant q of the composed transformation) — equals b.
   uint32_t StabilityBound() const { return config_.budget_b; }
 
-  /// Batch execution policy for this protocol's oblivious sorts (the
-  /// compaction sort and the sort-merge join's network). Scheduling only —
-  /// results are bit-identical with any pool/threshold.
-  void set_sort_exec(const BatchExec& exec) { sort_exec_ = exec; }
-
  private:
   /// Commit hook: receives the finished DeltaV block and its in-protocol
   /// real-entry count; the unsharded path appends to one SecureCache, the
@@ -112,7 +107,6 @@ class TransformProtocol {
   Protocol2PC* proto_;
   IncShrinkConfig config_;
   PrivacyAccountant* accountant_;
-  BatchExec sort_exec_;
 };
 
 }  // namespace incshrink

@@ -1,6 +1,5 @@
 #include "src/mpc/protocol.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/common/fixed_point.h"
@@ -198,68 +197,6 @@ void Protocol2PC::AccountCompareExchangeBatch(uint64_t ops, size_t width,
   }
 }
 
-void Protocol2PC::CompareExchangeRowsBatch(SharedRows* rows,
-                                           const RowPair* pairs, size_t count,
-                                           size_t key_col, bool ascending,
-                                           const BatchExec& exec) {
-  if (count == 0) return;
-  const size_t w = rows->width();
-  const size_t mask_words = CompareExchangeMaskWords(w);
-  AccountCompareExchangeBatch(count, w, /*lex=*/false);
-  if (exec.Serial(count)) {
-    // Serial fast path: masks drawn inline per site (the exact scalar
-    // sequence), register-resident — no layer-sized buffer round-trip.
-    for (size_t p = 0; p < count; ++p) {
-      CompareExchangeSite(rows, pairs[p].a, pairs[p].b, key_col, ascending);
-    }
-    return;
-  }
-  // Pooled path: the apply order is scheduling-dependent, so all masks are
-  // pre-drawn in scalar site order first — the only stream-correct option.
-  batch_masks_.resize(count * mask_words);
-  DrawReshareMasks(batch_masks_.size(), batch_masks_.data());
-  const Word* masks = batch_masks_.data();
-  const size_t chunk = BatchChunkSize(count, exec.pool->num_threads());
-  const size_t num_chunks = (count + chunk - 1) / chunk;
-  exec.pool->ParallelFor(num_chunks, [&](size_t c) {
-    const size_t end = std::min(count, (c + 1) * chunk);
-    for (size_t p = c * chunk; p < end; ++p) {
-      ApplyCompareExchange(rows, pairs[p].a, pairs[p].b, key_col, ascending,
-                           masks + p * mask_words);
-    }
-  });
-}
-
-void Protocol2PC::CompareExchangeRowsLexBatch(SharedRows* rows,
-                                              const RowPair* pairs,
-                                              size_t count, size_t major_col,
-                                              size_t minor_col, bool ascending,
-                                              const BatchExec& exec) {
-  if (count == 0) return;
-  const size_t w = rows->width();
-  const size_t mask_words = CompareExchangeMaskWords(w);
-  AccountCompareExchangeBatch(count, w, /*lex=*/true);
-  if (exec.Serial(count)) {
-    for (size_t p = 0; p < count; ++p) {
-      CompareExchangeLexSite(rows, pairs[p].a, pairs[p].b, major_col,
-                             minor_col, ascending);
-    }
-    return;
-  }
-  batch_masks_.resize(count * mask_words);
-  DrawReshareMasks(batch_masks_.size(), batch_masks_.data());
-  const Word* masks = batch_masks_.data();
-  const size_t chunk = BatchChunkSize(count, exec.pool->num_threads());
-  const size_t num_chunks = (count + chunk - 1) / chunk;
-  exec.pool->ParallelFor(num_chunks, [&](size_t c) {
-    const size_t end = std::min(count, (c + 1) * chunk);
-    for (size_t p = c * chunk; p < end; ++p) {
-      ApplyCompareExchangeLex(rows, pairs[p].a, pairs[p].b, major_col,
-                              minor_col, ascending, masks + p * mask_words);
-    }
-  });
-}
-
 void Protocol2PC::AccountMuxSwapBatch(uint64_t ops, size_t width) {
   const uint64_t gates = ops * width * kWordBits;
   AccountAndGates(gates);
@@ -270,57 +207,31 @@ void Protocol2PC::AccountMuxSwapBatch(uint64_t ops, size_t width) {
 }
 
 void Protocol2PC::MuxRowsBatch(SharedRows* rows, const RowPair* pairs,
-                               const WordShares* swap_bits, size_t count,
-                               const BatchExec& exec) {
+                               const WordShares* swap_bits, size_t count) {
   if (count == 0) return;
-  const size_t w = rows->width();
-  const size_t mask_words = MuxSwapMaskWords(w);
-  AccountMuxSwapBatch(count, w);
-  if (exec.Serial(count)) {
-    for (size_t p = 0; p < count; ++p) {
-      const Word bit = RecoverInside(swap_bits[p]) & 1;
-      MuxSwapSite(rows, pairs[p].a, pairs[p].b, bit != 0);
-    }
-    return;
-  }
-  batch_masks_.resize(count * mask_words);
-  DrawReshareMasks(batch_masks_.size(), batch_masks_.data());
-  const Word* masks = batch_masks_.data();
-  const auto site = [&](size_t p) {
+  AccountMuxSwapBatch(count, rows->width());
+  for (size_t p = 0; p < count; ++p) {
     const Word bit = RecoverInside(swap_bits[p]) & 1;
-    ApplyMuxSwap(rows, pairs[p].a, pairs[p].b, bit != 0,
-                 masks + p * mask_words);
-  };
-  const size_t chunk = BatchChunkSize(count, exec.pool->num_threads());
-  const size_t num_chunks = (count + chunk - 1) / chunk;
-  exec.pool->ParallelFor(num_chunks, [&](size_t c) {
-    const size_t end = std::min(count, (c + 1) * chunk);
-    for (size_t p = c * chunk; p < end; ++p) site(p);
-  });
+    MuxSwapSite(rows, pairs[p].a, pairs[p].b, bit != 0);
+  }
 }
 
 void Protocol2PC::CountWhereBatch(const CountWhereTask* tasks, size_t count,
-                                  WordShares* out, const BatchExec& exec) {
+                                  WordShares* out) {
   if (count == 0) return;
   uint64_t gates = 0;
-  size_t total_rows = 0;
   for (size_t k = 0; k < count; ++k) {
     // Per row: predicate circuit + AND with the flag + ripple-carry
     // accumulate — the exact scalar ObliviousCountWhere charge.
     gates += tasks[k].rows->size() *
              (tasks[k].pred_and_gates_per_row + 1 + kWordBits);
-    total_rows += tasks[k].rows->size();
   }
   AccountAndGates(gates);
   if (batch_trace_enabled_) {
     batch_trace_.push_back({BatchTraceEvent::Kind::kCountWhere, count,
                             CircuitStats{gates, 0, 0, 0}});
   }
-  // One fresh-share mask per task, drawn in task order (== the scalar
-  // ShareWord sequence).
-  batch_masks_.resize(count);
-  DrawReshareMasks(count, batch_masks_.data());
-  const auto task = [&](size_t k) {
+  for (size_t k = 0; k < count; ++k) {
     const SharedRows& rows = *tasks[k].rows;
     const size_t flag_col = tasks[k].flag_col;
     const auto* pred = tasks[k].pred;
@@ -335,16 +246,10 @@ void Protocol2PC::CountWhereBatch(const CountWhereTask* tasks, size_t count,
       if ((scratch[flag_col] & 1) && (pred == nullptr || (*pred)(scratch)))
         ++tally;
     }
-    const Word mask = batch_masks_[k];
-    out[k] = WordShares{mask, static_cast<Word>(tally ^ mask)};
-  };
-  // Parallelism is per task (tasks vary in size, so the BatchExec
-  // threshold is measured in total scanned rows, not task count).
-  if (exec.Serial(total_rows) || count < 2) {
-    for (size_t k = 0; k < count; ++k) task(k);
-    return;
+    // One fresh-share mask per task, in task order (== the scalar ShareWord
+    // sequence).
+    out[k] = Reshare(tally);
   }
-  exec.pool->ParallelFor(count, task);
 }
 
 void Protocol2PC::EnableBatchTrace(bool on) {

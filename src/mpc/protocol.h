@@ -1,12 +1,10 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/mpc/cost_model.h"
 #include "src/mpc/party.h"
 #include "src/secret/share.h"
@@ -19,49 +17,13 @@ inline constexpr uint64_t kWordBits = 32;
 
 /// One compare-exchange / mux-swap site of a batched submission. Pairs in a
 /// batch must be pairwise disjoint (no row index appears twice), which is
-/// what makes a batch order-free: any evaluation order — including a
-/// thread-parallel one — commits the same bits.
+/// what makes a layer of a sorting or permutation network one batch.
 struct RowPair {
   uint32_t a = 0;  ///< lower row index
   uint32_t b = 0;  ///< upper row index (a < b)
 
   bool operator==(const RowPair&) const = default;
 };
-
-/// Execution policy of a batched primitive call: whether (and where) a batch
-/// may be split across worker threads. Purely a scheduling hint — results
-/// are bit-identical with any pool and any threshold, because every batch
-/// pre-draws its resharing masks in scalar call order and its sites commit
-/// to disjoint rows.
-struct BatchExec {
-  /// Fork-join pool to split large batches over; null runs the tight serial
-  /// kernel on the calling thread.
-  ThreadPool* pool = nullptr;
-  /// Batches smaller than this stay on the calling thread even when a pool
-  /// is available (fork-join overhead would dominate). Config knob
-  /// `oblivious_batch_min_layer`.
-  size_t min_parallel_ops = 128;
-
-  /// Whether a batch of `ops` sites runs the serial fused kernel: no pool,
-  /// a 1-thread pool (nothing to split over — the fused draw+apply path is
-  /// strictly faster), or a batch under the threshold.
-  bool Serial(size_t ops) const {
-    return pool == nullptr || pool->num_threads() <= 1 ||
-           ops < min_parallel_ops;
-  }
-};
-
-/// Splits `count` batch sites into pool chunks. Chunk boundaries are a pure
-/// function of (count, threads): scheduling-independent, and since batch
-/// sites commit to disjoint rows the chunking never changes a bit. Shared
-/// by the single-submission batch APIs and the multi-job sort fusion so
-/// both pooled paths chunk identically. 4 chunks per worker keeps the claim
-/// counter warm without making the atomic increment a per-site cost.
-inline size_t BatchChunkSize(size_t count, int threads) {
-  const size_t per_thread =
-      (count + static_cast<size_t>(threads) - 1) / static_cast<size_t>(threads);
-  return std::max<size_t>(32, (per_thread + 3) / 4);
-}
 
 /// One batched COUNT task: count rows of `*rows` whose `flag_col` low bit is
 /// set and that satisfy `pred` (null accepts everything). The equivalent
@@ -218,35 +180,21 @@ class Protocol2PC {
   // Batched oblivious primitives (layer-vectorized execution)
   //
   // Each batch call is bit-identical to issuing its scalar ops in pair
-  // order: the resharing masks are pre-drawn from the internal stream in
-  // exactly the scalar call order, the per-site kernels are pure functions
-  // of (shares, masks), and the aggregate circuit cost is charged once per
-  // batch — totals equal to the scalar sum. Because the sites of a batch
-  // touch pairwise-disjoint rows, the apply phase may be split across a
-  // ThreadPool (BatchExec) without changing a single committed bit.
+  // order: the site kernels below draw their resharing masks inline from
+  // the internal stream in exactly the scalar word order, and the
+  // aggregate circuit cost is charged once per batch — totals equal to the
+  // scalar sum.
   // ------------------------------------------------------------------
-
-  /// Words of resharing randomness one mux-swap site consumes.
-  static constexpr size_t MuxSwapMaskWords(size_t width) { return 2 * width; }
-  /// Words one compare-exchange site consumes (swap bit + row reshares).
-  static constexpr size_t CompareExchangeMaskWords(size_t width) {
-    return 1 + 2 * width;
-  }
 
   /// Draws `count` words from the internal resharing stream — the exact
   /// sequence the scalar ops would have consumed one Reshare at a time.
-  /// This is the *only* entry point batched kernels may take randomness
-  /// from (tools/check_no_hidden_entropy.sh enforces the scheduler side).
-  /// Inline (with the kernels below): these are the innermost hot loops of
-  /// every oblivious sort, and an out-of-line call per word/site erases the
-  /// batching win.
+  /// The entry point for randomness the oblivious layer consumes outside
+  /// the site kernels (tools/check_no_hidden_entropy.sh enforces this).
   void DrawReshareMasks(size_t count, Word* out) {
     for (size_t i = 0; i < count; ++i) out[i] = internal_rng_.Next32();
   }
 
-  /// Single-key out-of-order predicate shared by the scalar op, the
-  /// pre-draw kernel and the inline-draw site kernel: one source of truth
-  /// for the comparator the serial and pooled rounds must agree on.
+  /// Single-key out-of-order predicate of the compare-exchange sites.
   static bool KeyOutOfOrder(const SharedRows& rows, size_t i, size_t j,
                             size_t key_col, bool ascending) {
     const Word ki = rows.share0_at(i, key_col) ^ rows.share1_at(i, key_col);
@@ -267,53 +215,40 @@ class Protocol2PC {
     return ascending ? i_greater : j_greater;
   }
 
-  /// Pure mux-swap kernel over MuxSwapMaskWords(width) pre-drawn masks: no
-  /// accounting, no randomness, safe to run concurrently with other sites
-  /// of the same batch on disjoint rows.
-  void ApplyMuxSwap(SharedRows* rows, size_t i, size_t j, bool do_swap,
-                    const Word* masks) const {
-    MuxSwapImpl(rows, i, j, do_swap,
-                [&masks]() { return *masks++; });
-  }
+  // Site kernels: the exact scalar data path — resharing masks drawn
+  // inline from the internal stream in scalar word order, no scratch
+  // buffer — minus the per-op accounting, which the batch charges in
+  // aggregate. Inline: these are the innermost hot loops of every
+  // oblivious sort and shuffle.
 
-  /// Pure compare-exchange kernel over CompareExchangeMaskWords(width)
-  /// pre-drawn masks (same concurrency contract as ApplyMuxSwap).
-  void ApplyCompareExchange(SharedRows* rows, size_t i, size_t j,
-                            size_t key_col, bool ascending,
-                            const Word* masks) const {
-    const bool out_of_order = KeyOutOfOrder(*rows, i, j, key_col, ascending);
-    // masks[0] is the swap-bit reshare the scalar path draws; the batch
-    // draws it too (stream alignment) but, like the scalar path, never
-    // stores it.
-    ApplyMuxSwap(rows, i, j, out_of_order, masks + 1);
-  }
-
-  /// Pure lexicographic compare-exchange kernel (same mask layout).
-  void ApplyCompareExchangeLex(SharedRows* rows, size_t i, size_t j,
-                               size_t major_col, size_t minor_col,
-                               bool ascending, const Word* masks) const {
-    const bool out_of_order =
-        LexOutOfOrder(*rows, i, j, major_col, minor_col, ascending);
-    ApplyMuxSwap(rows, i, j, out_of_order, masks + 1);
-  }
-
-  // Serial-batch site kernels: the exact scalar data path — resharing
-  // masks drawn inline from the internal stream in scalar word order, no
-  // scratch buffer — minus the per-op accounting, which the batch already
-  // charged in aggregate. These are what make the 1-thread batched path a
-  // strict win over the scalar ops (amortized bookkeeping, register-
-  // resident masks). Same word-for-word draw sequence as the pre-draw
-  // kernels above (one shared swap body, one shared comparator), so serial
-  // and pooled rounds commit identical bits.
-
-  /// Mux-swap site with inline draws (scalar MuxSwapRows minus accounting).
+  /// Mux-swap site (scalar MuxSwapRows minus accounting).
   void MuxSwapSite(SharedRows* rows, size_t i, size_t j, bool do_swap) {
-    MuxSwapImpl(rows, i, j, do_swap,
-                [this]() { return internal_rng_.Next32(); });
+    const size_t w = rows->width();
+    Word* s0 = rows->mutable_share0();
+    Word* s1 = rows->mutable_share1();
+    Word* r0i = s0 + i * w;
+    Word* r1i = s1 + i * w;
+    Word* r0j = s0 + j * w;
+    Word* r1j = s1 + j * w;
+    for (size_t c = 0; c < w; ++c) {
+      const Word a = r0i[c] ^ r1i[c];
+      const Word b = r0j[c] ^ r1j[c];
+      // oblivious-ok: ideal-functionality XOR-swap kernel — the batch charged
+      // the per-bit AND cost in aggregate; both rows get fresh masks either way
+      const Word new_i = do_swap ? b : a;
+      // oblivious-ok: same site, second arm of the swap
+      const Word new_j = do_swap ? a : b;
+      const Word mi = internal_rng_.Next32();
+      const Word mj = internal_rng_.Next32();
+      r0i[c] = mi;
+      r1i[c] = new_i ^ mi;
+      r0j[c] = mj;
+      r1j[c] = new_j ^ mj;
+    }
   }
 
-  /// Compare-exchange site with inline draws (the swap-bit reshare is
-  /// drawn and discarded exactly as the scalar op does).
+  /// Compare-exchange site (the swap-bit reshare is drawn and discarded
+  /// exactly as the scalar op does).
   void CompareExchangeSite(SharedRows* rows, size_t i, size_t j,
                            size_t key_col, bool ascending) {
     const bool out_of_order = KeyOutOfOrder(*rows, i, j, key_col, ascending);
@@ -321,7 +256,7 @@ class Protocol2PC {
     MuxSwapSite(rows, i, j, out_of_order);
   }
 
-  /// Lexicographic compare-exchange site with inline draws.
+  /// Lexicographic compare-exchange site.
   void CompareExchangeLexSite(SharedRows* rows, size_t i, size_t j,
                               size_t major_col, size_t minor_col,
                               bool ascending) {
@@ -337,38 +272,23 @@ class Protocol2PC {
 
   /// Charges the exact aggregate cost of `ops` fused mux-swap sites over
   /// rows of `width` words and records one batch trace event. MuxRowsBatch
-  /// charges through this, and so does the permutation-network scheduler
-  /// (src/oblivious/shuffle.cc), whose switches are mux-swaps with publicly
-  /// programmed control bits: the conditional swap still runs the full
-  /// per-bit AND circuit — hiding *whether* each switch crossed is exactly
-  /// what keeps the realized permutation secret from the evaluator.
+  /// charges through this; the permutation-network switches it runs for
+  /// src/oblivious/shuffle.cc are mux-swaps with publicly programmed
+  /// control bits: the conditional swap still runs the full per-bit AND
+  /// circuit — hiding *whether* each switch crossed is exactly what keeps
+  /// the realized permutation secret from the evaluator.
   void AccountMuxSwapBatch(uint64_t ops, size_t width);
-
-  /// Batched CompareExchangeRows over disjoint index pairs — bit-identical
-  /// to calling the scalar op once per pair in order.
-  void CompareExchangeRowsBatch(SharedRows* rows, const RowPair* pairs,
-                                size_t count, size_t key_col, bool ascending,
-                                const BatchExec& exec = {});
-
-  /// Batched CompareExchangeRowsLex over disjoint index pairs.
-  void CompareExchangeRowsLexBatch(SharedRows* rows, const RowPair* pairs,
-                                   size_t count, size_t major_col,
-                                   size_t minor_col, bool ascending,
-                                   const BatchExec& exec = {});
 
   /// Batched MuxSwapRows: obliviously swaps each disjoint pair iff its
   /// shared `swap_bits` entry is 1. Bit-identical to the scalar sequence.
   void MuxRowsBatch(SharedRows* rows, const RowPair* pairs,
-                    const WordShares* swap_bits, size_t count,
-                    const BatchExec& exec = {});
+                    const WordShares* swap_bits, size_t count);
 
   /// Batched oblivious COUNT: evaluates `count` CountWhereTasks with one
   /// aggregate accounting event; `out[k]` receives task k's fresh sharing.
-  /// Bit-identical to per-task ObliviousCountWhere in task order. Tasks
-  /// vary in size, so `exec.min_parallel_ops` is measured in total scanned
-  /// rows here (parallelism itself is per task).
+  /// Bit-identical to per-task ObliviousCountWhere in task order.
   void CountWhereBatch(const CountWhereTask* tasks, size_t count,
-                       WordShares* out, const BatchExec& exec = {});
+                       WordShares* out);
 
   /// Opt-in recording of batched submissions (off by default: long runs
   /// would otherwise accumulate unbounded trace state). Enabling clears any
@@ -400,38 +320,6 @@ class Protocol2PC {
   void RestoreStats(const CircuitStats& stats) { stats_ = stats; }
 
  private:
-  /// The one oblivious XOR-swap body both kernel families share; `mask_fn`
-  /// supplies the 2*width resharing masks — pre-drawn array reads for the
-  /// pooled Apply* kernels, inline internal-stream draws for the serial
-  /// *Site kernels. Same word order either way, so both commit identical
-  /// bits for identical streams.
-  template <typename MaskFn>
-  static void MuxSwapImpl(SharedRows* rows, size_t i, size_t j, bool do_swap,
-                          MaskFn&& mask_fn) {
-    const size_t w = rows->width();
-    Word* s0 = rows->mutable_share0();
-    Word* s1 = rows->mutable_share1();
-    Word* r0i = s0 + i * w;
-    Word* r1i = s1 + i * w;
-    Word* r0j = s0 + j * w;
-    Word* r1j = s1 + j * w;
-    for (size_t c = 0; c < w; ++c) {
-      const Word a = r0i[c] ^ r1i[c];
-      const Word b = r0j[c] ^ r1j[c];
-      // oblivious-ok: ideal-functionality XOR-swap kernel — the batch charged
-      // the per-bit AND cost in aggregate; both rows get fresh masks either way
-      const Word new_i = do_swap ? b : a;
-      // oblivious-ok: same site, second arm of the swap
-      const Word new_j = do_swap ? a : b;
-      const Word mi = mask_fn();
-      const Word mj = mask_fn();
-      r0i[c] = mi;
-      r1i[c] = new_i ^ mi;
-      r0j[c] = mj;
-      r1j[c] = new_j ^ mj;
-    }
-  }
-
   /// Re-shares a plaintext word with protocol-internal fresh randomness.
   WordShares Reshare(Word value);
 
@@ -442,10 +330,6 @@ class Protocol2PC {
   Rng internal_rng_;
   bool batch_trace_enabled_ = false;
   std::vector<BatchTraceEvent> batch_trace_;
-  /// Reusable mask buffer for batched submissions (allocation-free inner
-  /// loops once warmed). The protocol is single-submitter by contract, so
-  /// one buffer suffices.
-  std::vector<Word> batch_masks_;
 };
 
 }  // namespace incshrink

@@ -30,7 +30,7 @@ SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
                               size_t read_size, SortAlgorithm algorithm);
 
 /// Post-sort half of ObliviousCacheRead, split out so the sort itself can
-/// be fused with other shards'/tenants' sorts in one batch submission:
+/// run as one job of a multi-shard submission:
 /// charges the share-transfer cost and cuts the public-size prefix. The
 /// caller must have sorted `cache` by the cache key (descending) first.
 /// ObliviousCacheRead == ObliviousSort + TakeSortedPrefix, bit for bit.
@@ -53,7 +53,7 @@ SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
                       size_t flush_size, SortAlgorithm algorithm);
 
 /// Post-sort half of CacheFlush (fetch the fixed prefix, recycle the rest),
-/// for flush sorts executed through a fused batch submission.
+/// for flush sorts executed through a multi-shard submission.
 SharedRows TakeFlushPrefix(Protocol2PC* proto, SharedRows* cache,
                            size_t flush_size);
 

@@ -61,8 +61,7 @@ void EmitViewRow(Protocol2PC* proto, SharedRows* out, bool is_view, Word key,
 
 JoinResult TruncatedSortMergeJoin(Protocol2PC* proto, const SharedRows& t1,
                                   const SharedRows& t2, const JoinSpec& spec,
-                                  uint64_t* seq, ContributionUsage* usage,
-                                  const BatchExec& exec) {
+                                  uint64_t* seq, ContributionUsage* usage) {
   ContributionUsage local_usage;
   if (usage == nullptr) usage = &local_usage;
   INCSHRINK_CHECK_GE(t1.width(), kSrcWidth);
@@ -95,7 +94,7 @@ JoinResult TruncatedSortMergeJoin(Protocol2PC* proto, const SharedRows& t1,
   // breaks remaining ties so the scan order — and with it the greedy
   // truncation — is a deterministic function of the data.
   ObliviousSortLex(proto, &merged, kMergedSortCol, kMergedRidCol,
-                   /*ascending=*/true, exec);
+                   /*ascending=*/true);
 
   // ---- Linear scan (Fig. 2 "Linear scan"): after accessing each merged
   // tuple, output exactly `omega` slots. Charge the scan circuit: per merged
@@ -241,8 +240,7 @@ JoinResult TruncatedNestedLoopJoin(Protocol2PC* proto, SharedRows* t1,
 }
 
 uint32_t ObliviousJoinCountFull(Protocol2PC* proto, const SharedRows& t1,
-                                const SharedRows& t2, const JoinSpec& spec,
-                                const BatchExec& exec) {
+                                const SharedRows& t2, const JoinSpec& spec) {
   Rng* rng = proto->internal_rng();
   // Union + tag, as in the truncated join.
   SharedRows merged(kMergedWidth);
@@ -265,7 +263,7 @@ uint32_t ObliviousJoinCountFull(Protocol2PC* proto, const SharedRows& t1,
   proto->AccountBytes(merged.TotalBytes());
 
   ObliviousSortLex(proto, &merged, kMergedSortCol, kMergedRidCol,
-                   /*ascending=*/true, exec);
+                   /*ascending=*/true);
 
   // Oblivious pair counting over the sorted union: an O(n log n) prefix
   // aggregation circuit (per level, one adder + mux per element).

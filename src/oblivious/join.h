@@ -66,13 +66,10 @@ struct JoinResult {
 /// `usage` (optional) carries per-record contribution counts across multiple
 /// operator calls of the same Transform invocation; pass nullptr for a
 /// standalone call.
-/// `exec` is the batch execution policy of the internal oblivious sort
-/// (scheduling only; results are bit-identical with any pool).
 JoinResult TruncatedSortMergeJoin(Protocol2PC* proto, const SharedRows& t1,
                                   const SharedRows& t2, const JoinSpec& spec,
                                   uint64_t* seq,
-                                  ContributionUsage* usage = nullptr,
-                                  const BatchExec& exec = {});
+                                  ContributionUsage* usage = nullptr);
 
 /// \brief Truncated oblivious nested-loop join (paper Algorithm 4).
 ///
@@ -99,8 +96,7 @@ JoinResult TruncatedNestedLoopJoin(Protocol2PC* proto, SharedRows* t1,
 /// Charges the sort network plus an O(n log n) oblivious prefix-aggregation
 /// scan. The returned count exists only inside the protocol.
 uint32_t ObliviousJoinCountFull(Protocol2PC* proto, const SharedRows& t1,
-                                const SharedRows& t2, const JoinSpec& spec,
-                                const BatchExec& exec = {});
+                                const SharedRows& t2, const JoinSpec& spec);
 
 /// \brief Plaintext reference join with identical semantics (same truncation
 /// and ordering rules) used for differential testing and ground truth.

@@ -143,41 +143,6 @@ void RouteBlock(const uint32_t* pos, const uint32_t* perm, size_t n,
   }
 }
 
-/// Per-job state of one fused multi-shuffle submission (mirrors JobState in
-/// src/oblivious/sort.cc).
-struct ShuffleState {
-  explicit ShuffleState(const ShuffleJob& j)
-      : job(j), cursor(*j.perm),
-        mask_words(Protocol2PC::MuxSwapMaskWords(j.rows->width())) {}
-
-  ShuffleJob job;
-  ShuffleLayerCursor cursor;
-  size_t mask_words;
-  std::vector<ProgrammedSwitch> switches;  ///< current layer
-  std::vector<Word> masks;  ///< pre-drawn reshares for the current layer
-  bool active = true;
-};
-
-/// Applies sites [begin, end) of the current layer (pure kernels over
-/// pre-drawn masks; switches of a layer touch disjoint rows, so any split
-/// is race-free and bit-identical).
-void ApplyShuffleRange(const ShuffleState& s, size_t begin, size_t end) {
-  const Word* masks = s.masks.data();
-  for (size_t p = begin; p < end; ++p) {
-    s.job.proto->ApplyMuxSwap(s.job.rows, s.switches[p].pair.a,
-                              s.switches[p].pair.b, s.switches[p].swap,
-                              masks + p * s.mask_words);
-  }
-}
-
-/// Serial-round variant: inline-draw site kernels, same per-proto draw
-/// sequence, masks never leave registers.
-void ApplyShuffleSitesFused(ShuffleState* s) {
-  for (const ProgrammedSwitch& sw : s->switches) {
-    s->job.proto->MuxSwapSite(s->job.rows, sw.pair.a, sw.pair.b, sw.swap);
-  }
-}
-
 /// Stable argsort of the recovered (inside the ideal functionality) keys of
 /// an already-shuffled table: returns perm with perm[k] = current index of
 /// the row that must land at position k. Charges the fixed
@@ -264,8 +229,7 @@ std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n) {
 }
 
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
-                      const std::vector<uint32_t>& perm,
-                      const BatchExec& exec) {
+                      const std::vector<uint32_t>& perm) {
   INCSHRINK_CHECK_EQ(perm.size(), rows->size());
   if (rows->size() < 2) return;
   ShuffleLayerCursor cursor(perm);
@@ -284,109 +248,27 @@ void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
       // either way, so cost and trace depend on the switch count only.
       bits.push_back(Protocol2PC::ConstShare(sw.swap ? 1 : 0));
     }
-    proto->MuxRowsBatch(rows, pairs.data(), bits.data(), pairs.size(), exec);
+    proto->MuxRowsBatch(rows, pairs.data(), bits.data(), pairs.size());
   }
 }
 
 void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
                            const BatchExec& exec) {
-  if (num_jobs == 0) return;
-  // Each job owns its protocol's resharing stream for the whole submission
-  // (same contract as ObliviousSortBatch).
-  for (size_t i = 0; i < num_jobs; ++i) {
-    INCSHRINK_CHECK(jobs[i].proto != nullptr && jobs[i].rows != nullptr &&
-                    jobs[i].perm != nullptr);
-    INCSHRINK_CHECK_EQ(jobs[i].perm->size(), jobs[i].rows->size());
-    for (size_t j = i + 1; j < num_jobs; ++j) {
-      INCSHRINK_CHECK(jobs[i].proto != jobs[j].proto);
-    }
-  }
-  if (num_jobs == 1) {
-    // Single job: one MuxRowsBatch submission per layer — the batch API,
-    // with its pre-draw + chunked pooled apply, IS this hot path.
-    ObliviousShuffle(jobs[0].proto, jobs[0].rows, *jobs[0].perm, exec);
-    return;
-  }
-
-  std::vector<ShuffleState> states;
-  states.reserve(num_jobs);
-  for (size_t i = 0; i < num_jobs; ++i) states.emplace_back(jobs[i]);
-
-  // Lockstep layer rounds, exactly the ObliviousSortBatch discipline:
-  // phase 1 emits and accounts each job's layer serially in job order,
-  // phase 2 applies the round's sites — fused serial site kernels, or
-  // per-job pre-drawn masks with a cross-job chunked pooled apply.
-  while (true) {
-    size_t total_sites = 0;
-    bool any_active = false;
-    for (ShuffleState& s : states) {
-      if (!s.active) continue;
-      s.active = s.cursor.Next(&s.switches);
-      if (!s.active || s.switches.empty()) continue;
-      any_active = true;
-      s.job.proto->AccountMuxSwapBatch(s.switches.size(),
-                                       s.job.rows->width());
-      total_sites += s.switches.size();
-    }
-    if (!any_active) {
-      bool live = false;
-      for (const ShuffleState& s : states) live = live || s.active;
-      if (!live) break;
-      continue;  // a round of empty layers; keep draining the cursors
-    }
-
-    if (exec.Serial(total_sites)) {
-      for (ShuffleState& s : states) {
-        if (!s.active || s.switches.empty()) continue;
-        ApplyShuffleSitesFused(&s);
-      }
-      continue;
-    }
-    for (ShuffleState& s : states) {
-      if (!s.active || s.switches.empty()) continue;
-      s.masks.resize(s.switches.size() * s.mask_words);
-      s.job.proto->DrawReshareMasks(s.masks.size(), s.masks.data());
-    }
-    struct Chunk {
-      const ShuffleState* state;
-      size_t begin;
-      size_t end;
-    };
-    const size_t chunk_size =
-        BatchChunkSize(total_sites, exec.pool->num_threads());
-    std::vector<Chunk> chunks;
-    for (const ShuffleState& s : states) {
-      if (!s.active || s.switches.empty()) continue;
-      for (size_t b = 0; b < s.switches.size(); b += chunk_size) {
-        chunks.push_back(
-            {&s, b, std::min(s.switches.size(), b + chunk_size)});
-      }
-    }
-    exec.pool->ParallelFor(chunks.size(), [&](size_t c) {
-      ApplyShuffleRange(*chunks[c].state, chunks[c].begin, chunks[c].end);
-    });
-  }
+  exec.RunJobs(jobs, num_jobs, [](const ShuffleJob& job) {
+    INCSHRINK_CHECK(job.perm != nullptr);
+    ObliviousShuffle(job.proto, job.rows, *job.perm);
+  });
 }
 
 void ObliviousRandomPermuteBatch(PermuteJob* jobs, size_t num_jobs,
                                  const BatchExec& exec) {
-  if (num_jobs == 0) return;
-  // Permutation draws run in job order, each from its own protocol stream,
-  // then every network executes as one fused submission.
-  std::vector<std::vector<uint32_t>> perms(num_jobs);
-  std::vector<ShuffleJob> shuffle_jobs(num_jobs);
-  for (size_t i = 0; i < num_jobs; ++i) {
-    INCSHRINK_CHECK(jobs[i].proto != nullptr && jobs[i].rows != nullptr);
-    perms[i] = DrawPublicPermutation(jobs[i].proto, jobs[i].rows->size());
-    shuffle_jobs[i] = {jobs[i].proto, jobs[i].rows, &perms[i]};
-  }
-  ObliviousShuffleBatch(shuffle_jobs.data(), num_jobs, exec);
+  exec.RunJobs(jobs, num_jobs, [](const PermuteJob& job) {
+    ObliviousRandomPermute(job.proto, job.rows);
+  });
 }
 
-void ObliviousRandomPermute(Protocol2PC* proto, SharedRows* rows,
-                            const BatchExec& exec) {
-  PermuteJob job{proto, rows};
-  ObliviousRandomPermuteBatch(&job, 1, exec);
+void ObliviousRandomPermute(Protocol2PC* proto, SharedRows* rows) {
+  ObliviousShuffle(proto, rows, DrawPublicPermutation(proto, rows->size()));
 }
 
 uint64_t ShuffleSortComparisons(size_t n) {
@@ -396,44 +278,17 @@ uint64_t ShuffleSortComparisons(size_t n) {
   return static_cast<uint64_t>(n) * lg;
 }
 
-void ObliviousShuffleSortBatch(SortJob* jobs, size_t num_jobs,
-                               const BatchExec& exec) {
-  if (num_jobs == 0) return;
-  for (size_t i = 0; i < num_jobs; ++i) {
-    INCSHRINK_CHECK(jobs[i].proto != nullptr && jobs[i].rows != nullptr);
-    INCSHRINK_CHECK(!jobs[i].lex);  // shuffle-sort is single-key
-    INCSHRINK_CHECK(jobs[i].algorithm == SortAlgorithm::kShuffleSort);
-    for (size_t j = i + 1; j < num_jobs; ++j) {
-      INCSHRINK_CHECK(jobs[i].proto != jobs[j].proto);
-    }
-  }
-  // Pass 1: random Waksman shuffle (per-job draws in job order, fused
-  // execution).
-  std::vector<std::vector<uint32_t>> perms(num_jobs);
-  std::vector<ShuffleJob> shuffle_jobs(num_jobs);
-  for (size_t i = 0; i < num_jobs; ++i) {
-    perms[i] = DrawPublicPermutation(jobs[i].proto, jobs[i].rows->size());
-    shuffle_jobs[i] = {jobs[i].proto, jobs[i].rows, &perms[i]};
-  }
-  ObliviousShuffleBatch(shuffle_jobs.data(), num_jobs, exec);
+void ObliviousShuffleSort(Protocol2PC* proto, SharedRows* rows,
+                          size_t key_col, bool ascending) {
+  // Pass 1: random Waksman shuffle drawn from the protocol stream.
+  ObliviousRandomPermute(proto, rows);
   // Pass 2: Waksman programmed from the stable argsort of the shuffled
   // keys. Ties land in shuffled order — a uniformly random (but seeded,
   // deterministic) placement, which is exactly why the shuffle must come
   // first: the argsort's control bits then reveal nothing about the
   // pre-shuffle arrangement.
-  for (size_t i = 0; i < num_jobs; ++i) {
-    perms[i] = ArgsortKeysInside(jobs[i].proto, *jobs[i].rows,
-                                 jobs[i].key_col, jobs[i].ascending);
-  }
-  ObliviousShuffleBatch(shuffle_jobs.data(), num_jobs, exec);
-}
-
-void ObliviousShuffleSort(Protocol2PC* proto, SharedRows* rows,
-                          size_t key_col, bool ascending,
-                          const BatchExec& exec) {
-  SortJob job{proto,     rows, key_col, 0, /*lex=*/false,
-              ascending, SortAlgorithm::kShuffleSort};
-  ObliviousShuffleSortBatch(&job, 1, exec);
+  ObliviousShuffle(proto, rows,
+                   ArgsortKeysInside(proto, *rows, key_col, ascending));
 }
 
 }  // namespace incshrink

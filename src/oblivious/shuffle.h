@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/mpc/protocol.h"
 #include "src/oblivious/sort.h"
 #include "src/secret/shared_rows.h"
@@ -25,13 +24,14 @@ namespace incshrink {
 /// switch crossed is what keeps the realized permutation secret from the
 /// evaluating servers.
 ///
-/// Execution model mirrors src/oblivious/sort.cc: the network is emitted
-/// layer by layer (a `ShuffleLayerCursor`), every layer's switches touch
-/// pairwise-disjoint rows, and each layer is one batched `MuxRowsBatch`
-/// submission — pre-drawn resharing masks in scalar site order, aggregate
-/// cost charged once per layer, optionally thread-parallel apply. Output
-/// shares, the internal randomness stream and the aggregate circuit cost
-/// are bit-identical at any thread count (tests/shuffle_test.cc).
+/// Execution model mirrors src/oblivious/sort.cc: the network runs layer by
+/// layer (a `ShuffleLayerCursor`) on the calling thread, every layer's
+/// switches touch pairwise-disjoint rows, and each layer is one batched
+/// `MuxRowsBatch` submission — inline-draw site kernels in scalar site
+/// order, aggregate cost charged once per layer. The only parallelism is
+/// across the jobs of a multi-job submission (BatchExec), so output shares,
+/// the internal randomness stream and the aggregate circuit cost are
+/// bit-identical at any thread count (tests/shuffle_test.cc).
 ///
 /// The network *topology* (switch placement, layer sizes, depth) is a pure
 /// function of n; only the control bits depend on the permutation. The
@@ -104,8 +104,7 @@ std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n);
 /// Applies `perm` to `rows` obliviously (rows'[k] = rows[perm[k]]) through
 /// the programmed Waksman network, one MuxRowsBatch submission per layer.
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
-                      const std::vector<uint32_t>& perm,
-                      const BatchExec& exec = {});
+                      const std::vector<uint32_t>& perm);
 
 /// One shuffle of a multi-shuffle submission. As with SortJob, jobs of one
 /// batch must run on pairwise-distinct protocol instances.
@@ -116,11 +115,10 @@ struct ShuffleJob {
   const std::vector<uint32_t>* perm = nullptr;
 };
 
-/// Cross-shard / cross-tenant shuffle fusion: executes every job's network
-/// in lockstep layer rounds, pooling the round's mux-swap sites across jobs
-/// into wide submissions. Bit-identical per job to its ObliviousShuffle run
-/// alone, at any thread count and any job mix (same contract — and same
-/// structure — as ObliviousSortBatch).
+/// Multi-job shuffle submission (cross-shard / cross-tenant): runs every
+/// job's ObliviousShuffle whole and fans the jobs out over `exec` (see
+/// BatchExec::RunJobs). Bit-identical per job to its ObliviousShuffle run
+/// alone, at any thread count and any job mix.
 void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
                            const BatchExec& exec = {});
 
@@ -130,18 +128,17 @@ struct PermuteJob {
   SharedRows* rows = nullptr;
 };
 
-/// Cache-recycle tier: draws one fresh public permutation per job from the
-/// job's own protocol stream (job order) and applies all networks as one
-/// fused submission. This replaces the flush sort outright under
-/// `sort_algorithm = shuffle_sort`: the flush's prefix cut is public-size,
-/// so *any* secret permutation randomizes which rows are fetched versus
-/// recycled — full key order is never needed.
+/// Cache-recycle tier: runs ObliviousRandomPermute for every job, fanned
+/// out over `exec` (see BatchExec::RunJobs). This replaces the flush sort
+/// outright under `sort_algorithm = shuffle_sort`: the flush's prefix cut
+/// is public-size, so *any* secret permutation randomizes which rows are
+/// fetched versus recycled — full key order is never needed.
 void ObliviousRandomPermuteBatch(PermuteJob* jobs, size_t num_jobs,
                                  const BatchExec& exec = {});
 
-/// Single-job convenience wrapper around ObliviousRandomPermuteBatch.
-void ObliviousRandomPermute(Protocol2PC* proto, SharedRows* rows,
-                            const BatchExec& exec = {});
+/// Draws one fresh public permutation from the protocol's own stream and
+/// applies it to `rows` through ObliviousShuffle.
+void ObliviousRandomPermute(Protocol2PC* proto, SharedRows* rows);
 
 /// Comparison sites the shuffle-then-sort path charges for the in-protocol
 /// argsort of n shuffled keys: n * ceil(log2 n) (a comparison-based sort's
@@ -159,15 +156,6 @@ uint64_t ShuffleSortComparisons(size_t n);
 /// in shuffled order), which is why the Batcher goldens stay the reference
 /// and this path is opt-in.
 void ObliviousShuffleSort(Protocol2PC* proto, SharedRows* rows,
-                          size_t key_col, bool ascending,
-                          const BatchExec& exec = {});
-
-/// Multi-job fused shuffle-then-sort (the SortAlgorithm::kShuffleSort arm
-/// of ObliviousSortBatch): per-job permutation draws and argsorts run in
-/// job order; both Waksman passes execute as fused lockstep submissions.
-/// Bit-identical per job to its ObliviousShuffleSort run alone. Jobs must
-/// be single-key (lex == false) and on pairwise-distinct protocols.
-void ObliviousShuffleSortBatch(SortJob* jobs, size_t num_jobs,
-                               const BatchExec& exec = {});
+                          size_t key_col, bool ascending);
 
 }  // namespace incshrink

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/thread_pool.h"
 #include "src/mpc/protocol.h"
 #include "src/secret/shared_rows.h"
@@ -21,15 +22,53 @@ namespace incshrink {
 /// comparison plus one row-width mux-swap, matching the sort-network costs
 /// the paper's EMP implementation pays.
 ///
-/// Execution model: the network is emitted **layer by layer** — one layer
-/// per (p, k) pass of the network, whose compare-exchange pairs are disjoint
-/// by construction — and each layer is submitted as one batched
-/// `CompareExchangeRowsBatch` call: one aggregate cost event instead of a
-/// per-gate charge, pre-drawn resharing masks in scalar call order, and an
-/// optionally thread-parallel apply over the disjoint pairs. Output shares,
-/// the internal randomness stream and the aggregate circuit cost are
-/// bit-identical to the scalar per-op path at any thread count
-/// (tests/batched_oblivious_test.cc).
+/// Execution model: the network runs **layer by layer** — one layer per
+/// (p, k) pass of the network, whose compare-exchange pairs are disjoint by
+/// construction — on the calling thread, through the protocol's inline-draw
+/// site kernels: one aggregate cost event per layer instead of a per-gate
+/// charge. Output shares, the internal randomness stream and the aggregate
+/// circuit cost are bit-identical to the scalar per-op path
+/// (tests/batched_oblivious_test.cc). The only parallelism is across the
+/// jobs of a multi-job submission (BatchExec).
+
+/// Execution policy of the multi-job entry points (ObliviousSortBatch,
+/// ObliviousShuffleBatch, ObliviousRandomPermuteBatch): whether the jobs of
+/// one submission may run concurrently, one pool task per job. Purely a scheduling hint — every
+/// job runs whole on its own protocol, so results are bit-identical with
+/// any pool and any threshold.
+struct BatchExec {
+  /// Pool to fan jobs out over; null or a 1-thread pool runs the jobs in
+  /// job order on the calling thread.
+  ThreadPool* pool = nullptr;
+  /// Submissions with fewer rows than this, summed over their jobs, stay on
+  /// the calling thread (fork-join overhead would dominate). Config knob
+  /// `oblivious_batch_min_layer`.
+  size_t min_parallel_ops = 128;
+
+  /// Runs `run(jobs[i])` for every job of a multi-job submission, after
+  /// checking that each job has rows and a protocol of its own (each job
+  /// consumes its protocol's resharing stream; two jobs on one protocol
+  /// would interleave draws). With a pool of more than one thread, at least
+  /// two jobs and at least `min_parallel_ops` rows in all, every job is one
+  /// pool task; otherwise the jobs run in job order.
+  template <typename Job, typename Run>
+  void RunJobs(Job* jobs, size_t num_jobs, Run&& run) const {
+    size_t rows = 0;
+    for (size_t i = 0; i < num_jobs; ++i) {
+      INCSHRINK_CHECK(jobs[i].proto != nullptr && jobs[i].rows != nullptr);
+      for (size_t j = i + 1; j < num_jobs; ++j) {
+        INCSHRINK_CHECK(jobs[i].proto != jobs[j].proto);
+      }
+      rows += jobs[i].rows->size();
+    }
+    if (pool != nullptr && pool->num_threads() > 1 && num_jobs >= 2 &&
+        rows >= min_parallel_ops) {
+      pool->ParallelFor(num_jobs, [&](size_t i) { run(jobs[i]); });
+      return;
+    }
+    for (size_t i = 0; i < num_jobs; ++i) run(jobs[i]);
+  }
+};
 
 /// Which full-sort execution policy an oblivious sort runs.
 ///
@@ -60,15 +99,6 @@ void ObliviousSort(Protocol2PC* proto, SharedRows* rows, size_t key_col,
 void ObliviousSortLex(Protocol2PC* proto, SharedRows* rows, size_t major_col,
                       size_t minor_col, bool ascending);
 
-/// Batched variants taking an explicit execution policy (pool + the
-/// `oblivious_batch_min_layer` threshold); the two-argument-shorter forms
-/// above run the serial batch kernels.
-void ObliviousSort(Protocol2PC* proto, SharedRows* rows, size_t key_col,
-                   bool ascending, const BatchExec& exec);
-void ObliviousSortLex(Protocol2PC* proto, SharedRows* rows, size_t major_col,
-                      size_t minor_col, bool ascending,
-                      const BatchExec& exec);
-
 /// One oblivious sort of a multi-sort submission. Jobs of one batch must
 /// run on pairwise-distinct protocol instances (each sort consumes its own
 /// protocol's resharing stream; two jobs on one protocol would interleave
@@ -86,14 +116,12 @@ struct SortJob {
   SortAlgorithm algorithm = SortAlgorithm::kBatcher;
 };
 
-/// Cross-shard / cross-tenant sort fusion: executes every job's sorting
-/// network in lockstep layer rounds — round r applies layer r of every job
-/// whose network still has one — so the pair-apply work of all jobs pools
-/// into a handful of wide submissions instead of serializing job by job.
-/// Masks are pre-drawn per job in scalar order before each round and cost
-/// is charged per job per layer, so every job's output shares, randomness
-/// stream and aggregate cost are bit-identical to running its
-/// ObliviousSort alone (at any thread count, any job mix).
+/// Multi-job sort submission (cross-shard / cross-tenant): runs every job
+/// whole — Batcher jobs through the serial network, shuffle-sort jobs
+/// through ObliviousShuffleSort — and fans the jobs out over `exec` (see
+/// BatchExec::RunJobs). Each job's output shares, randomness stream and
+/// aggregate cost are bit-identical to running it alone, at any thread
+/// count and any job mix.
 void ObliviousSortBatch(SortJob* jobs, size_t num_jobs,
                         const BatchExec& exec = {});
 

@@ -7,14 +7,12 @@
 //     whose pairs are disjoint; per-layer sizes sum to the total
 //     compare-exchange count for every n in [0, 257];
 //   * kernel equality: batched sort / lex-sort / mux / count vs their
-//     scalar reference implementations at 1 / 2 / 8 threads;
-//   * cross-shard and multi-job fusion: ObliviousSortBatch over many jobs
-//     equals each job sorted alone;
+//     scalar reference implementations;
+//   * multi-job submissions: ObliviousSortBatch over many jobs, fanned out
+//     at 1 / 2 / 8 threads, equals each job sorted alone;
 //   * engine equality: the `oblivious_batch_min_layer` knob is inert for
 //     all three DP strategies (sort, lex-sort and count all sit on the
-//     engine's hot path);
-//   * fleet equality: cross-tenant sort coalescing reproduces the unfused
-//     fleet bit for bit and actually fuses jobs.
+//     engine's hot path).
 //
 // Runs under the TSan CI job together with the parallel/sharded suites.
 
@@ -26,7 +24,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/core/engine.h"
-#include "src/core/fleet.h"
 #include "src/core/owner_client.h"
 #include "src/mpc/party.h"
 #include "src/mpc/protocol.h"
@@ -130,106 +127,50 @@ struct ProtoPair {
 
 TEST(BatchedScalarEquivalenceTest, SortMatchesScalarBitForBit) {
   for (const size_t n : {0u, 1u, 2u, 3u, 5u, 64u, 100u, 257u}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      Rng data_rng(7 + n);
-      const SharedRows input = RandomViewRows(&data_rng, n);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng data_rng(7 + n);
+    const SharedRows input = RandomViewRows(&data_rng, n);
 
-      ProtoPair scalar;
-      SharedRows a = input;
-      ObliviousSortScalar(&scalar.proto, &a, kViewSortKeyCol, false);
+    ProtoPair scalar;
+    SharedRows a = input;
+    ObliviousSortScalar(&scalar.proto, &a, kViewSortKeyCol, false);
 
-      ProtoPair batched;
-      ThreadPool pool(threads);
-      SharedRows b = input;
-      // min_parallel_ops = 1: force the pool-split path for every layer.
-      ObliviousSort(&batched.proto, &b, kViewSortKeyCol, false,
-                    BatchExec{&pool, 1});
+    ProtoPair batched;
+    SharedRows b = input;
+    ObliviousSort(&batched.proto, &b, kViewSortKeyCol, false);
 
-      ExpectRowsIdentical(a, b);
-      ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      // The internal resharing streams must stay aligned: the next draw
-      // from each side is the same word.
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
-    }
+    ExpectRowsIdentical(a, b);
+    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+    // The internal resharing streams must stay aligned: the next draw
+    // from each side is the same word.
+    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
+              batched.proto.internal_rng()->Next32());
   }
 }
 
 TEST(BatchedScalarEquivalenceTest, LexSortMatchesScalarBitForBit) {
   for (const size_t n : {0u, 2u, 5u, 64u, 100u, 257u}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      Rng data_rng(100 + n);
-      SharedRows input(4);
-      for (size_t i = 0; i < n; ++i) {
-        input.AppendSecretRow({data_rng.Next32() % 13, data_rng.Next32() % 7,
-                               data_rng.Next32(), data_rng.Next32()},
-                              &data_rng);
-      }
-
-      ProtoPair scalar;
-      SharedRows a = input;
-      ObliviousSortLexScalar(&scalar.proto, &a, 0, 1, true);
-
-      ProtoPair batched;
-      ThreadPool pool(threads);
-      SharedRows b = input;
-      ObliviousSortLex(&batched.proto, &b, 0, 1, true, BatchExec{&pool, 1});
-
-      ExpectRowsIdentical(a, b);
-      ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng data_rng(100 + n);
+    SharedRows input(4);
+    for (size_t i = 0; i < n; ++i) {
+      input.AppendSecretRow({data_rng.Next32() % 13, data_rng.Next32() % 7,
+                             data_rng.Next32(), data_rng.Next32()},
+                            &data_rng);
     }
-  }
-}
 
-TEST(BatchedScalarEquivalenceTest, CompareExchangeBatchMatchesScalarOps) {
-  // The batch APIs directly, over an explicit disjoint pair list (the
-  // pooled single-sort path submits exactly these calls per layer).
-  const size_t n = 128;
-  Rng data_rng(17);
-  const SharedRows input = RandomViewRows(&data_rng, n);
-  std::vector<RowPair> pairs;
-  for (uint32_t p = 0; p < n / 2; ++p) {
-    pairs.push_back({p, static_cast<uint32_t>(p + n / 2)});
-  }
-  for (const bool lex : {false, true}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(std::string(lex ? "lex" : "plain") +
-                   " threads=" + std::to_string(threads));
-      ProtoPair scalar;
-      SharedRows a = input;
-      for (const RowPair& pr : pairs) {
-        if (lex) {
-          scalar.proto.CompareExchangeRowsLex(&a, pr.a, pr.b, kViewKeyCol,
-                                              kViewSortKeyCol, true);
-        } else {
-          scalar.proto.CompareExchangeRows(&a, pr.a, pr.b, kViewSortKeyCol,
-                                           false);
-        }
-      }
-      ProtoPair batched;
-      ThreadPool pool(threads);
-      SharedRows b = input;
-      if (lex) {
-        batched.proto.CompareExchangeRowsLexBatch(&b, pairs.data(),
-                                                  pairs.size(), kViewKeyCol,
-                                                  kViewSortKeyCol, true,
-                                                  BatchExec{&pool, 1});
-      } else {
-        batched.proto.CompareExchangeRowsBatch(&b, pairs.data(),
-                                               pairs.size(), kViewSortKeyCol,
-                                               false, BatchExec{&pool, 1});
-      }
-      ExpectRowsIdentical(a, b);
-      ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
-    }
+    ProtoPair scalar;
+    SharedRows a = input;
+    ObliviousSortLexScalar(&scalar.proto, &a, 0, 1, true);
+
+    ProtoPair batched;
+    SharedRows b = input;
+    ObliviousSortLex(&batched.proto, &b, 0, 1, true);
+
+    ExpectRowsIdentical(a, b);
+    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
+              batched.proto.internal_rng()->Next32());
   }
 }
 
@@ -247,23 +188,18 @@ TEST(BatchedScalarEquivalenceTest, MuxRowsBatchMatchesScalarMuxSwaps) {
     bits.push_back(WordShares{0xABCD0000u + p, (0xABCD0000u + p) ^ bit});
   }
 
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ProtoPair scalar;
-    SharedRows a = input;
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      scalar.proto.MuxSwapRows(&a, pairs[p].a, pairs[p].b, bits[p]);
-    }
-    ProtoPair batched;
-    ThreadPool pool(threads);
-    SharedRows b = input;
-    batched.proto.MuxRowsBatch(&b, pairs.data(), bits.data(), pairs.size(),
-                               BatchExec{&pool, 1});
-    ExpectRowsIdentical(a, b);
-    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-              batched.proto.internal_rng()->Next32());
+  ProtoPair scalar;
+  SharedRows a = input;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    scalar.proto.MuxSwapRows(&a, pairs[p].a, pairs[p].b, bits[p]);
   }
+  ProtoPair batched;
+  SharedRows b = input;
+  batched.proto.MuxRowsBatch(&b, pairs.data(), bits.data(), pairs.size());
+  ExpectRowsIdentical(a, b);
+  ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+  EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
+            batched.proto.internal_rng()->Next32());
 }
 
 TEST(BatchedScalarEquivalenceTest, CountWhereBatchMatchesPerTaskCounts) {
@@ -279,28 +215,22 @@ TEST(BatchedScalarEquivalenceTest, CountWhereBatchMatchesPerTaskCounts) {
         {&t, kViewIsViewCol, pred.and_gates_per_row, &pred.eval});
   }
 
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ProtoPair scalar;
-    std::vector<WordShares> want;
-    for (const SharedRows& t : tables) {
-      want.push_back(
-          ObliviousCountWhere(&scalar.proto, t, kViewIsViewCol, pred));
-    }
-    ProtoPair batched;
-    ThreadPool pool(threads);
-    std::vector<WordShares> got(tasks.size());
-    batched.proto.CountWhereBatch(tasks.data(), tasks.size(), got.data(),
-                                  BatchExec{&pool, 1});
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k].s0, want[k].s0) << "task " << k;
-      EXPECT_EQ(got[k].s1, want[k].s1) << "task " << k;
-      EXPECT_EQ(batched.proto.Reveal(got[k]), scalar.proto.Reveal(want[k]))
-          << "task " << k;
-    }
-    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+  ProtoPair scalar;
+  std::vector<WordShares> want;
+  for (const SharedRows& t : tables) {
+    want.push_back(ObliviousCountWhere(&scalar.proto, t, kViewIsViewCol, pred));
   }
+  ProtoPair batched;
+  std::vector<WordShares> got(tasks.size());
+  batched.proto.CountWhereBatch(tasks.data(), tasks.size(), got.data());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].s0, want[k].s0) << "task " << k;
+    EXPECT_EQ(got[k].s1, want[k].s1) << "task " << k;
+    EXPECT_EQ(batched.proto.Reveal(got[k]), scalar.proto.Reveal(want[k]))
+        << "task " << k;
+  }
+  ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
 }
 
 TEST(BatchTraceTest, TraceEventsCarryExactAggregateCost) {
@@ -346,7 +276,7 @@ TEST(BatchTraceTest, TraceEventsCarryExactAggregateCost) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-job fusion: many sorts in lockstep layer rounds == each sort alone
+// Multi-job submissions: many sorts fanned out == each sort alone
 // ---------------------------------------------------------------------------
 
 TEST(SortFusionTest, FusedJobsMatchStandaloneSorts) {
@@ -365,7 +295,8 @@ TEST(SortFusionTest, FusedJobsMatchStandaloneSorts) {
       want.push_back(std::move(rows));
       want_stats.push_back(proto.Snapshot());
     }
-    // Fused: all jobs in one submission, pooled layer rounds.
+    // All jobs in one submission; min_parallel_ops = 1 fans them out
+    // whenever the pool has more than one thread.
     std::vector<SharedRows> got;
     std::vector<std::unique_ptr<Party>> parties;
     std::vector<std::unique_ptr<Protocol2PC>> protos;
@@ -455,54 +386,6 @@ TEST(BatchedEngineEquivalenceTest, ConfigRejectsZeroMinLayer) {
   IncShrinkConfig cfg = DefaultTpcDsConfig();
   cfg.oblivious_batch_min_layer = 0;
   EXPECT_FALSE(cfg.Validate().ok());
-}
-
-// ---------------------------------------------------------------------------
-// Fleet: cross-tenant sort coalescing is bit-identical and actually fuses
-// ---------------------------------------------------------------------------
-
-TEST(FleetCoalescingTest, CoalescedFleetMatchesUnfusedFleetBitForBit) {
-  TpcDsParams p;
-  p.steps = 32;
-  p.seed = 77;
-  const GeneratedWorkload w = GenerateTpcDs(p);
-  std::vector<DeploymentFleet::TenantSpec> specs;
-  for (const Strategy strategy :
-       {Strategy::kDpTimer, Strategy::kDpAnt, Strategy::kDpTimer,
-        Strategy::kEp}) {
-    specs.push_back(
-        {StrategyName(strategy), BatchTestConfig(strategy, 1, 0, 128), &w});
-  }
-  // A sharded tenant: its own shard pool nests under the fleet workers and
-  // it contributes multiple same-round jobs to the fused submission.
-  specs.push_back({"sharded", BatchTestConfig(Strategy::kDpTimer, 2, 2, 1),
-                   &w});
-
-  DeploymentFleet::Options ref_opts;
-  ref_opts.root_seed = 99;
-  ref_opts.num_threads = 1;
-  DeploymentFleet ref(specs, ref_opts);
-  ref.RunAll();
-  EXPECT_EQ(ref.AggregateStats().fused_sort_jobs, 0u);
-
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    DeploymentFleet::Options opts;
-    opts.root_seed = 99;
-    opts.num_threads = threads;
-    opts.coalesce_sorts = true;
-    opts.batch_min_layer = 1;  // force pooled layer rounds
-    DeploymentFleet fused(specs, opts);
-    fused.RunAll();
-    const DeploymentFleet::FleetStats stats = fused.AggregateStats();
-    // Timer tenants fire on the shared schedule, so fused submissions must
-    // actually have pooled multiple tenants' sorts.
-    EXPECT_GT(stats.fused_sort_jobs, stats.fused_sort_submissions);
-    for (size_t i = 0; i < fused.num_tenants(); ++i) {
-      SCOPED_TRACE("tenant " + std::to_string(i));
-      ExpectEngineIdentical(ref.engine(i), fused.engine(i));
-    }
-  }
 }
 
 }  // namespace

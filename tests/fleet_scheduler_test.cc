@@ -1,6 +1,7 @@
-// Deterministic priority fleet scheduler (the traffic-serving round
-// discipline of DeploymentFleet): uniform-weight configurations must
-// reproduce the legacy lockstep sweep bit for bit; skewed configurations
+// Deterministic priority fleet scheduler (the service rationing of
+// DeploymentFleet's one round discipline): serving every backlogged tenant
+// must be bit-identical however it is spelled (scheduler disabled or a
+// budget covering everyone), at any weights; skewed configurations
 // must be exactly thread-count invariant (summaries, transcripts AND the
 // round-by-round service schedule); and the aging term must make the
 // discipline starvation-free — every continuously backlogged tenant is
@@ -96,13 +97,12 @@ std::vector<DeploymentFleet::TenantSpec> MixedTenants(
 }
 
 DeploymentFleet::Options WithScheduler(uint64_t root, int threads,
-                                       uint32_t lead, bool coalesce,
+                                       uint32_t lead,
                                        DeploymentFleet::SchedulerOptions s) {
   DeploymentFleet::Options o;
   o.root_seed = root;
   o.num_threads = threads;
   o.owner_lead = lead;
-  o.coalesce_sorts = coalesce;
   o.scheduler = s;
   return o;
 }
@@ -194,9 +194,8 @@ TEST(PrioritySchedulerTest, PriorityKeyCompositionAndAging) {
   sched.aging_weight = 5;
   sched.depth_weight = 2;
   sched.deadline_horizon = 16;
-  DeploymentFleet fleet(specs, WithScheduler(/*root=*/3, /*threads=*/1,
-                                             /*lead=*/0, /*coalesce=*/false,
-                                             sched));
+  DeploymentFleet fleet(
+      specs, WithScheduler(/*root=*/3, /*threads=*/1, /*lead=*/0, sched));
 
   // Before any round: depth 0, t = 0 => timer distance 10, urgency 6.
   EXPECT_EQ(fleet.PriorityKey(0), 3u * 6u);
@@ -217,32 +216,41 @@ TEST(PrioritySchedulerTest, PriorityKeyCompositionAndAging) {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform configuration == legacy lockstep sweep, bit for bit
+// Serving everyone: scheduler disabled == a budget covering every tenant
 // ---------------------------------------------------------------------------
 
 TEST(PrioritySchedulerTest, UniformConfigIsBitIdenticalToLockstep) {
-  // With uniform weights and a budget covering every tenant, the scheduler
-  // must select exactly the tenants the lockstep sweep steps, so every
-  // per-tenant observable — summary and transcript — is bit-identical to
-  // the legacy fleet (whose behavior the PR 5 goldens pin). Covers both
-  // budget spellings (0 = "all" and B = num_tenants), owner leads, and the
-  // coalesce_sorts fusion path.
+  // A disabled scheduler serves every backlogged tenant every round. The
+  // enabled scheduler with a budget covering every tenant must select
+  // exactly the same tenants, so every per-tenant observable — summary and
+  // transcript — is bit-identical. Covers both budget spellings (0 = "all"
+  // and B = num_tenants), owner leads, and uniform as well as skewed
+  // sla_weights (weights only order the service, never gate it, when
+  // everyone is served).
   const GeneratedWorkload tpcds = SmallTpcDs();
   const GeneratedWorkload cpdb = SmallCpdb();
   const uint64_t kRoot = 77;
-  const std::vector<DeploymentFleet::TenantSpec> specs =
+  const std::vector<DeploymentFleet::TenantSpec> uniform =
       MixedTenants(&tpcds, &cpdb, /*max_batches=*/1, /*capacity=*/32);
+  std::vector<DeploymentFleet::TenantSpec> skewed = uniform;
+  const uint32_t kWeights[] = {1, 8, 2, 1, 16, 4};
+  for (size_t i = 0; i < skewed.size(); ++i) {
+    skewed[i].config.sla_weight = kWeights[i];
+  }
 
-  for (const bool coalesce : {false, true}) {
+  for (const bool skew : {false, true}) {
+    const std::vector<DeploymentFleet::TenantSpec>& specs =
+        skew ? skewed : uniform;
     for (const uint32_t lead : {0u, 3u}) {
-      SCOPED_TRACE("coalesce=" + std::to_string(coalesce) +
+      SCOPED_TRACE(std::string(skew ? "skewed" : "uniform") +
                    " lead=" + std::to_string(lead));
-      DeploymentFleet legacy(
-          specs, WithScheduler(kRoot, /*threads=*/2, lead, coalesce, {}));
-      legacy.RunAll();
-      ASSERT_TRUE(legacy.done());
-      const DeploymentFleet::FleetStats legacy_stats =
-          legacy.AggregateStats();
+      DeploymentFleet disabled(specs,
+                               WithScheduler(kRoot, /*threads=*/2, lead, {}));
+      disabled.RunAll();
+      ASSERT_TRUE(disabled.done());
+      EXPECT_TRUE(disabled.schedule_log().empty());
+      const DeploymentFleet::FleetStats disabled_stats =
+          disabled.AggregateStats();
 
       for (const uint32_t budget :
            {0u, static_cast<uint32_t>(specs.size())}) {
@@ -251,22 +259,27 @@ TEST(PrioritySchedulerTest, UniformConfigIsBitIdenticalToLockstep) {
         sched.enabled = true;
         sched.services_per_round = budget;
         DeploymentFleet scheduled(
-            specs, WithScheduler(kRoot, /*threads=*/2, lead, coalesce, sched));
+            specs, WithScheduler(kRoot, /*threads=*/2, lead, sched));
         scheduled.RunAll();
         ASSERT_TRUE(scheduled.done());
         for (size_t i = 0; i < specs.size(); ++i) {
           SCOPED_TRACE(specs[i].name);
-          ExpectSummaryIdentical(legacy.TenantSummary(i),
+          ExpectSummaryIdentical(disabled.TenantSummary(i),
                                  scheduled.TenantSummary(i));
-          EXPECT_EQ(legacy.engine(i).transcript(),
+          EXPECT_EQ(disabled.engine(i).transcript(),
                     scheduled.engine(i).transcript());
         }
         const DeploymentFleet::FleetStats stats =
             scheduled.AggregateStats();
-        EXPECT_EQ(stats.rounds, legacy_stats.rounds);
-        EXPECT_EQ(stats.engine_steps, legacy_stats.engine_steps);
-        EXPECT_EQ(stats.fused_sort_jobs, legacy_stats.fused_sort_jobs);
-        EXPECT_EQ(stats.max_queue_depth, legacy_stats.max_queue_depth);
+        EXPECT_EQ(stats.rounds, disabled_stats.rounds);
+        EXPECT_EQ(stats.engine_steps, disabled_stats.engine_steps);
+        EXPECT_EQ(stats.max_queue_depth, disabled_stats.max_queue_depth);
+        for (size_t i = 0; i < specs.size(); ++i) {
+          EXPECT_EQ(stats.tenant_service[i].services,
+                    disabled_stats.tenant_service[i].services);
+          EXPECT_EQ(stats.tenant_service[i].gap_max,
+                    disabled_stats.tenant_service[i].gap_max);
+        }
       }
     }
   }
@@ -283,8 +296,8 @@ TEST(PrioritySchedulerTest, UniformConfigMatchesSynchronousDeployment) {
       MixedTenants(&tpcds, &cpdb, /*max_batches=*/1, /*capacity=*/32);
   DeploymentFleet::SchedulerOptions sched;
   sched.enabled = true;
-  DeploymentFleet fleet(specs, WithScheduler(kRoot, /*threads=*/2, /*lead=*/0,
-                                             /*coalesce=*/false, sched));
+  DeploymentFleet fleet(
+      specs, WithScheduler(kRoot, /*threads=*/2, /*lead=*/0, sched));
   fleet.RunAll();
   ASSERT_TRUE(fleet.done());
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -307,7 +320,7 @@ TEST(PrioritySchedulerTest, ScheduleIsThreadCountInvariant) {
   // Skewed weights, a tight budget and owner leads: the round-by-round
   // service schedule, all per-tenant summaries/transcripts and the
   // aggregated latency/fairness stats must be exactly equal at 1, 2 and 8
-  // threads, with and without cross-tenant sort fusion.
+  // threads.
   const GeneratedWorkload tpcds = SmallTpcDs();
   const GeneratedWorkload cpdb = SmallCpdb();
   const uint64_t kRoot = 57;
@@ -323,45 +336,42 @@ TEST(PrioritySchedulerTest, ScheduleIsThreadCountInvariant) {
   sched.aging_weight = 4;
   sched.deadline_horizon = 8;
 
-  for (const bool coalesce : {false, true}) {
-    SCOPED_TRACE("coalesce=" + std::to_string(coalesce));
-    DeploymentFleet ref(specs, WithScheduler(kRoot, /*threads=*/1,
-                                             /*lead=*/8, coalesce, sched));
-    ref.RunAll();
-    ASSERT_TRUE(ref.done());
-    const DeploymentFleet::FleetStats ref_stats = ref.AggregateStats();
-    EXPECT_GT(ref_stats.rounds, 0u);
+  DeploymentFleet ref(
+      specs, WithScheduler(kRoot, /*threads=*/1, /*lead=*/8, sched));
+  ref.RunAll();
+  ASSERT_TRUE(ref.done());
+  const DeploymentFleet::FleetStats ref_stats = ref.AggregateStats();
+  EXPECT_GT(ref_stats.rounds, 0u);
 
-    for (const int threads : {2, 8}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      DeploymentFleet fleet(specs, WithScheduler(kRoot, threads, /*lead=*/8,
-                                                 coalesce, sched));
-      fleet.RunAll();
-      ASSERT_TRUE(fleet.done());
-      EXPECT_EQ(ref.schedule_log(), fleet.schedule_log());
-      for (size_t i = 0; i < specs.size(); ++i) {
-        SCOPED_TRACE(specs[i].name);
-        ExpectSummaryIdentical(ref.TenantSummary(i), fleet.TenantSummary(i));
-        EXPECT_EQ(ref.engine(i).transcript(), fleet.engine(i).transcript());
-      }
-      const DeploymentFleet::FleetStats stats = fleet.AggregateStats();
-      EXPECT_EQ(stats.rounds, ref_stats.rounds);
-      EXPECT_EQ(stats.engine_steps, ref_stats.engine_steps);
-      EXPECT_EQ(stats.jain_fairness, ref_stats.jain_fairness);
-      ASSERT_EQ(stats.tenant_service.size(),
-                ref_stats.tenant_service.size());
-      for (size_t i = 0; i < stats.tenant_service.size(); ++i) {
-        EXPECT_EQ(stats.tenant_service[i].services,
-                  ref_stats.tenant_service[i].services);
-        EXPECT_EQ(stats.tenant_service[i].gap_p50,
-                  ref_stats.tenant_service[i].gap_p50);
-        EXPECT_EQ(stats.tenant_service[i].gap_p95,
-                  ref_stats.tenant_service[i].gap_p95);
-        EXPECT_EQ(stats.tenant_service[i].gap_p99,
-                  ref_stats.tenant_service[i].gap_p99);
-        EXPECT_EQ(stats.tenant_service[i].gap_max,
-                  ref_stats.tenant_service[i].gap_max);
-      }
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DeploymentFleet fleet(specs,
+                          WithScheduler(kRoot, threads, /*lead=*/8, sched));
+    fleet.RunAll();
+    ASSERT_TRUE(fleet.done());
+    EXPECT_EQ(ref.schedule_log(), fleet.schedule_log());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE(specs[i].name);
+      ExpectSummaryIdentical(ref.TenantSummary(i), fleet.TenantSummary(i));
+      EXPECT_EQ(ref.engine(i).transcript(), fleet.engine(i).transcript());
+    }
+    const DeploymentFleet::FleetStats stats = fleet.AggregateStats();
+    EXPECT_EQ(stats.rounds, ref_stats.rounds);
+    EXPECT_EQ(stats.engine_steps, ref_stats.engine_steps);
+    EXPECT_EQ(stats.jain_fairness, ref_stats.jain_fairness);
+    ASSERT_EQ(stats.tenant_service.size(),
+              ref_stats.tenant_service.size());
+    for (size_t i = 0; i < stats.tenant_service.size(); ++i) {
+      EXPECT_EQ(stats.tenant_service[i].services,
+                ref_stats.tenant_service[i].services);
+      EXPECT_EQ(stats.tenant_service[i].gap_p50,
+                ref_stats.tenant_service[i].gap_p50);
+      EXPECT_EQ(stats.tenant_service[i].gap_p95,
+                ref_stats.tenant_service[i].gap_p95);
+      EXPECT_EQ(stats.tenant_service[i].gap_p99,
+                ref_stats.tenant_service[i].gap_p99);
+      EXPECT_EQ(stats.tenant_service[i].gap_max,
+                ref_stats.tenant_service[i].gap_max);
     }
   }
 }
@@ -393,6 +403,8 @@ TEST(PrioritySchedulerTest, StarvationFreedomUnderAdversarialPatterns) {
       // Budget 2, extreme weight ratio at the validation cap's scale.
       {"extreme-weights", {64, 64, 1, 1, 1, 1}, {16, 16, 16, 16, 16, 16},
        32, 2, 16},
+      // No tenants at all.
+      {"empty-fleet", {}, {}, 1, 1, 8},
   };
   for (const StarvationCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -414,10 +426,14 @@ TEST(PrioritySchedulerTest, StarvationFreedomUnderAdversarialPatterns) {
     sched.deadline_horizon = c.deadline_horizon;
     // A large owner lead keeps every tenant's queue non-empty (adversarial
     // depth pressure) until its stream is exhausted.
-    DeploymentFleet fleet(specs, WithScheduler(/*root=*/11, /*threads=*/2,
-                                               /*lead=*/16,
-                                               /*coalesce=*/false, sched));
+    DeploymentFleet fleet(
+        specs, WithScheduler(/*root=*/11, /*threads=*/2, /*lead=*/16, sched));
     const uint64_t bound = fleet.StarvationBoundRounds();
+    if (specs.empty()) {
+      // No tenants: nothing can wait, and the bound must not underflow.
+      EXPECT_EQ(bound, 1u);
+      continue;
+    }
     fleet.RunAll();
     ASSERT_TRUE(fleet.done());
     const DeploymentFleet::FleetStats stats = fleet.AggregateStats();
@@ -466,9 +482,8 @@ TEST(PrioritySchedulerTest, HotTenantsGetMoreServiceUnderSkewedTraffic) {
   sched.enabled = true;
   sched.services_per_round = 2;
   sched.aging_weight = 2;
-  DeploymentFleet fleet(specs, WithScheduler(/*root=*/23, /*threads=*/2,
-                                             /*lead=*/8, /*coalesce=*/false,
-                                             sched));
+  DeploymentFleet fleet(
+      specs, WithScheduler(/*root=*/23, /*threads=*/2, /*lead=*/8, sched));
   fleet.RunAll();
   ASSERT_TRUE(fleet.done());
   const DeploymentFleet::FleetStats stats = fleet.AggregateStats();

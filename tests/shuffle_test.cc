@@ -4,17 +4,19 @@
 //     permutation — exhaustively for n in [0, 8], sampled up to n = 64 —
 //     with layer-disjoint switches whose topology (pair placement, layer
 //     sizes, depth, switch count) is a pure function of n;
-//   * execution equivalence: ObliviousShuffle / ObliviousShuffleBatch are
-//     bit-identical (shares, randomness stream, aggregate cost) across
-//     1 / 2 / 8 threads, single- and multi-job;
+//   * execution equivalence: ObliviousShuffle is deterministic, and the
+//     multi-job submissions (ObliviousShuffleBatch, RandomPermuteBatch,
+//     shuffle-sort jobs of ObliviousSortBatch) fanned out at 1 / 2 / 8
+//     threads are bit-identical (shares, randomness stream, aggregate cost)
+//     to each job run alone;
 //   * shuffle-then-sort: same sorted key order as Batcher, thread- and
 //     batch-knob-invariant, with an input-invariant circuit trace across
 //     same-cardinality inputs;
 //   * gate budget: the Waksman flush path beats the Batcher flush by the
 //     targeted >= 1.8x AND-gate margin at n = 4096;
 //   * engine/fleet tier: `sort_algorithm = shuffle_sort` deployments are
-//     bit-identical across thread counts, shard counts and fleet
-//     coalescing, and (ShuffleSortGolden*) semantically equivalent to the
+//     bit-identical across thread counts, shard counts and fleet tenancy,
+//     and (ShuffleSortGolden*) semantically equivalent to the
 //     Batcher reference when flushes are disabled.
 //
 // Runs under the TSan CI job together with the parallel/sharded suites.
@@ -289,31 +291,26 @@ TEST(ObliviousShuffleTest, ChargesExactlyOneMuxSwapPerSwitch) {
 TEST(ObliviousShuffleTest, BatchedEqualsSerialAtAllThreadCounts) {
   Rng rng(7);
   for (const size_t n : {2u, 37u, 128u, 200u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
     const SharedRows input = RandomViewRows(&rng, n);
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
-                   std::to_string(threads));
-      ProtoPair serial, batched;  // same seeds -> identical joint streams
-      const std::vector<uint32_t> perm =
-          DrawPublicPermutation(&serial.proto, n);
-      EXPECT_EQ(DrawPublicPermutation(&batched.proto, n), perm);
-      SharedRows s = input, b = input;
-      ObliviousShuffle(&serial.proto, &s, perm);
-      ThreadPool pool(threads);
-      ObliviousShuffle(&batched.proto, &b, perm, BatchExec{&pool, 1});
-      ExpectRowsIdentical(s, b);
-      ExpectStatsEqual(serial.proto.stats(), batched.proto.stats());
-      // The post-shuffle randomness streams must agree too.
-      std::vector<Word> ws(4), wb(4);
-      serial.proto.DrawReshareMasks(4, ws.data());
-      batched.proto.DrawReshareMasks(4, wb.data());
-      EXPECT_EQ(ws, wb);
-    }
+    ProtoPair serial, batched;  // same seeds -> identical joint streams
+    const std::vector<uint32_t> perm = DrawPublicPermutation(&serial.proto, n);
+    EXPECT_EQ(DrawPublicPermutation(&batched.proto, n), perm);
+    SharedRows s = input, b = input;
+    ObliviousShuffle(&serial.proto, &s, perm);
+    ObliviousShuffle(&batched.proto, &b, perm);
+    ExpectRowsIdentical(s, b);
+    ExpectStatsEqual(serial.proto.stats(), batched.proto.stats());
+    // The post-shuffle randomness streams must agree too.
+    std::vector<Word> ws(4), wb(4);
+    serial.proto.DrawReshareMasks(4, ws.data());
+    batched.proto.DrawReshareMasks(4, wb.data());
+    EXPECT_EQ(ws, wb);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Oblivious execution: multi-job fusion
+// Oblivious execution: multi-job submissions
 // ---------------------------------------------------------------------------
 
 TEST(ObliviousShuffleBatchTest, FusedJobsEqualEachJobAlone) {
@@ -366,7 +363,7 @@ TEST(ObliviousRandomPermuteTest, PreservesRowsAndFusesLikeSingles) {
     }
     EXPECT_EQ(before_set, after_set) << "job " << i;
   }
-  for (const int threads : {1, 8}) {
+  for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::vector<ProtoPair> fused(sizes.size());
     std::vector<SharedRows> fused_rows = inputs;
@@ -438,21 +435,17 @@ TEST(ShuffleSortTest, BitIdenticalAcrossThreadCounts) {
   Rng rng(12);
   for (const size_t n : {64u, 150u}) {
     const SharedRows input = RandomViewRows(&rng, n);
+    SCOPED_TRACE("n=" + std::to_string(n));
     ProtoPair serial;
     SharedRows s = input;
     ObliviousShuffleSort(&serial.proto, &s, kViewSortKeyCol,
                          /*ascending=*/false);
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
-                   std::to_string(threads));
-      ProtoPair batched;
-      SharedRows b = input;
-      ThreadPool pool(threads);
-      ObliviousShuffleSort(&batched.proto, &b, kViewSortKeyCol,
-                           /*ascending=*/false, BatchExec{&pool, 1});
-      ExpectRowsIdentical(s, b);
-      ExpectStatsEqual(serial.proto.stats(), batched.proto.stats());
-    }
+    ProtoPair batched;
+    SharedRows b = input;
+    ObliviousShuffleSort(&batched.proto, &b, kViewSortKeyCol,
+                         /*ascending=*/false);
+    ExpectRowsIdentical(s, b);
+    ExpectStatsEqual(serial.proto.stats(), batched.proto.stats());
   }
 }
 
@@ -467,7 +460,7 @@ TEST(ShuffleSortTest, FusedJobsEqualEachJobAlone) {
     ObliviousShuffleSort(&ref[i].proto, &ref_rows[i], kViewSortKeyCol,
                          /*ascending=*/false);
   }
-  for (const int threads : {1, 8}) {
+  for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::vector<ProtoPair> fused(sizes.size());
     std::vector<SharedRows> fused_rows = inputs;
@@ -692,33 +685,27 @@ TEST(ShuffleSortEngineTest, ShardedRunsInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(ShuffleSortFleetTest, CoalescedFleetMatchesStandaloneEngines) {
+TEST(ShuffleSortFleetTest, MixedAlgorithmFleetMatchesStandaloneEngines) {
   const GeneratedWorkload w = SmallTpcDs();
-  // Mixed tenants: one Batcher, one shuffle-sort — the coalesced fleet's
-  // fused submission must dispatch both groups correctly.
+  // Mixed tenants: one Batcher, one shuffle-sort.
   IncShrinkConfig batcher_cfg = ShuffleSortConfig(Strategy::kDpTimer, 1, 1);
   batcher_cfg.sort_algorithm = SortAlgorithm::kBatcher;
   const IncShrinkConfig shuffle_cfg =
       ShuffleSortConfig(Strategy::kDpTimer, 1, 1);
-  for (const bool coalesce : {false, true}) {
-    SCOPED_TRACE(coalesce ? "coalesced" : "unfused");
-    DeploymentFleet::Options opts;
-    opts.root_seed = 99;
-    opts.num_threads = 2;
-    opts.coalesce_sorts = coalesce;
-    opts.batch_min_layer = 1;
-    DeploymentFleet fleet(
-        {{"batcher", batcher_cfg, &w}, {"shuffle", shuffle_cfg, &w}}, opts);
-    fleet.RunAll();
-    const std::vector<IncShrinkConfig> cfgs{batcher_cfg, shuffle_cfg};
-    for (size_t i = 0; i < fleet.num_tenants(); ++i) {
-      IncShrinkConfig standalone_cfg = cfgs[i];
-      standalone_cfg.seed = DeriveTenantSeed(99, i);
-      SynchronousDeployment standalone_dep(standalone_cfg);
-      ASSERT_TRUE(standalone_dep.Run(w.t1, w.t2).ok());
-      SCOPED_TRACE("tenant " + std::to_string(i));
-      ExpectEngineIdentical(standalone_dep.engine(), fleet.engine(i));
-    }
+  DeploymentFleet::Options opts;
+  opts.root_seed = 99;
+  opts.num_threads = 2;
+  DeploymentFleet fleet(
+      {{"batcher", batcher_cfg, &w}, {"shuffle", shuffle_cfg, &w}}, opts);
+  fleet.RunAll();
+  const std::vector<IncShrinkConfig> cfgs{batcher_cfg, shuffle_cfg};
+  for (size_t i = 0; i < fleet.num_tenants(); ++i) {
+    IncShrinkConfig standalone_cfg = cfgs[i];
+    standalone_cfg.seed = DeriveTenantSeed(99, i);
+    SynchronousDeployment standalone_dep(standalone_cfg);
+    ASSERT_TRUE(standalone_dep.Run(w.t1, w.t2).ok());
+    SCOPED_TRACE("tenant " + std::to_string(i));
+    ExpectEngineIdentical(standalone_dep.engine(), fleet.engine(i));
   }
 }
 

@@ -184,24 +184,24 @@ if [ -f "$SHARDED_CACHE" ]; then
   fi
 fi
 
-# Batch-kernel hygiene (batched-oblivious-execution satellite): the batch
-# scheduler (src/oblivious/sort.cc) must take randomness exclusively through
-# the protocol's stream — DrawReshareMasks for pre-drawn pooled rounds, or
-# the *Site kernels (which draw inline from the same stream) for serial
-# rounds. A raw Rng construction or direct Next32/Next64 draw in the
-# scheduler would desynchronize the batched path from the scalar resharing
-# sequence and silently break the bit-for-bit equivalence contract
-# (tests/batched_oblivious_test.cc is the runtime half of this check).
+# Batch-kernel hygiene (batched oblivious execution): the sorting
+# network code (src/oblivious/sort.cc) must take randomness exclusively
+# through the protocol's stream, via the *Site kernels, which draw inline
+# in scalar word order. A raw Rng construction or direct Next32/Next64 draw
+# in that file would desynchronize the batched path from the scalar
+# resharing sequence and silently break the bit-for-bit equivalence
+# contract (tests/batched_oblivious_test.cc is the runtime half of this
+# check).
 BATCH_SCHEDULER=src/oblivious/sort.cc
 if [ -f "$BATCH_SCHEDULER" ]; then
   hits=$(grep -nE '\bRng\s*\(|Next32|Next64|internal_rng|ShareWord|Laplace' \
          "$BATCH_SCHEDULER")
   if [ -n "$hits" ]; then
-    say "FORBIDDEN direct randomness in the batch scheduler:"
+    say "FORBIDDEN direct randomness in the sorting network code:"
     echo "$hits"
     echo
-    say "Batched kernels must draw only via Protocol2PC::DrawReshareMasks"
-    say "or the inline *Site kernels (src/mpc/protocol.h)."
+    say "Sorting networks must draw only via the inline *Site kernels"
+    say "(src/mpc/protocol.h)."
     exit 1
   fi
 fi
@@ -210,10 +210,11 @@ fi
 # programs a Waksman network's control bits must come exclusively from the
 # jointly seeded resharing stream (Protocol2PC::DrawReshareMasks, consumed
 # by DrawPublicPermutation) — that is what makes the control bits *public*
-# and the shuffle simulatable. A raw Rng construction, a direct Next32/
-# Next64 draw, or any share-level peeking in src/oblivious/shuffle.cc would
-# either desynchronize both parties' view of the permutation or leak
-# payload bits into the routing program.
+# and the shuffle simulatable — and the switches themselves draw their
+# reshares only through MuxRowsBatch's inline *Site kernels. A raw Rng
+# construction, a direct Next32/Next64 draw, or any share-level peeking in
+# src/oblivious/shuffle.cc would either desynchronize both parties' view of
+# the permutation or leak payload bits into the routing program.
 SHUFFLE_SCHEDULER=src/oblivious/shuffle.cc
 if [ -f "$SHUFFLE_SCHEDULER" ]; then
   hits=$(grep -nE '\bRng\s*\(|Next32|Next64|internal_rng|ShareWord|Laplace' \
