@@ -49,8 +49,10 @@ namespace incshrink {
 /// Determinism contract of the transport: the drain schedule is a pure
 /// function of the queue depths and `max_batches_per_step` — never of
 /// thread scheduling — so a deployment's observables are a pure function of
-/// (config, the owners' schedules). Owners stepped in lockstep with the
-/// engine (SynchronousDeployment) reproduce the pre-transport fused engine
+/// (config, the owners' schedules). SynchronousDeployment
+/// (src/core/owner_client.h) is the one driver that wires owners to an
+/// engine — in-process or over loopback TCP, standalone or as a fleet
+/// tenant; stepped in lockstep it reproduces the pre-transport fused engine
 /// bit for bit.
 ///
 /// The engine also logs the observable transcript and the DP releases so

@@ -51,7 +51,7 @@ DeploymentFleet::DeploymentFleet(std::vector<TenantSpec> tenants,
       scheduler_(options.scheduler),
       age_(tenants_.size(), 0),
       services_(tenants_.size(), 0),
-      last_service_round_(tenants_.size(), 0),
+      rounds_since_service_(tenants_.size(), 0),
       service_gaps_(tenants_.size()),
       // Workers beyond the tenant count would only collect idle wakeups
       // every StepAll round.
@@ -59,18 +59,12 @@ DeploymentFleet::DeploymentFleet(std::vector<TenantSpec> tenants,
           static_cast<size_t>(ResolveThreadCount(options.num_threads)),
           std::max<size_t>(tenants_.size(), 1)))) {
   INCSHRINK_CHECK_GE(scheduler_.aging_weight, 1u);
-  engines_.reserve(tenants_.size());
-  owners1_.reserve(tenants_.size());
-  owners2_.reserve(tenants_.size());
+  deployments_.reserve(tenants_.size());
   for (size_t i = 0; i < tenants_.size(); ++i) {
     INCSHRINK_CHECK(tenants_[i].workload != nullptr);
     tenants_[i].config.seed = DeriveTenantSeed(options.root_seed, i);
-    engines_.push_back(std::make_unique<Engine>(tenants_[i].config));
-    Engine* engine = engines_.back().get();
-    owners1_.push_back(std::make_unique<OwnerClient>(
-        MakeOwner1(tenants_[i].config, engine->channel1())));
-    owners2_.push_back(std::make_unique<OwnerClient>(
-        MakeOwner2(tenants_[i].config, engine->channel2())));
+    deployments_.push_back(
+        std::make_unique<SynchronousDeployment>(tenants_[i].config));
   }
 }
 
@@ -81,33 +75,26 @@ uint64_t DeploymentFleet::tenant_seed(size_t i) const {
 bool DeploymentFleet::done() const {
   for (size_t i = 0; i < tenants_.size(); ++i) {
     if (cursor_[i] < tenants_[i].workload->steps()) return false;
-    if (engines_[i]->queue_depth() > 0) return false;
+    if (QueueDepth(i) > 0) return false;
   }
   return true;
 }
 
 void DeploymentFleet::RunOwnerPhase(size_t i) {
   const GeneratedWorkload& w = *tenants_[i].workload;
-  Engine& engine = *engines_[i];
-  const bool join_view = tenants_[i].config.view_kind != ViewKind::kFilter;
-  // Owner phase: push frames up to the configured lead over the engine's
-  // clock. The owner pair advances atomically (both channels must have
-  // room) so the T1/T2 frame streams stay aligned; a full channel is
-  // public backpressure and simply retries next round.
-  const uint64_t horizon = engine.current_step() + 1 + owner_lead_;
-  while (cursor_[i] < w.steps() && cursor_[i] < horizon) {
-    const uint64_t t = cursor_[i];
-    // T1 leads the pair: its refusal is the recorded backpressure event.
-    // The channels always hold equal depths (frames are pushed and
-    // drained strictly in pairs), so if T1's push lands, T2's must too.
-    if (!owners1_[i]->TryStep(w.t1[t])) break;
-    if (join_view) INCSHRINK_CHECK(owners2_[i]->TryStep(w.t2[t]));
+  SynchronousDeployment& d = *deployments_[i];
+  // Owner phase: push frame pairs up to the configured lead over the
+  // engine's clock; a refused pair is public backpressure and simply
+  // retries next round.
+  const uint64_t horizon = d.engine().current_step() + 1 + owner_lead_;
+  while (cursor_[i] < w.steps() && cursor_[i] < horizon &&
+         d.TryOwnerStep(w.t1[cursor_[i]], w.t2[cursor_[i]])) {
     ++cursor_[i];
   }
 }
 
 uint64_t DeploymentFleet::PriorityKey(size_t i) const {
-  const Engine& e = *engines_[i];
+  const Engine& e = engine(i);
   const uint64_t dist = e.StepsToNextPublicRelease();
   const uint64_t h = scheduler_.deadline_horizon;
   const uint64_t urgency = dist >= h ? 0 : h - dist;
@@ -145,13 +132,13 @@ size_t DeploymentFleet::StepAll() {
   // (it depends only on the cursors and queue depths, never on scheduling).
   std::vector<size_t> live;
   for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (cursor_[i] < tenants_[i].workload->steps() ||
-        engines_[i]->queue_depth() > 0) {
+    if (cursor_[i] < tenants_[i].workload->steps() || QueueDepth(i) > 0) {
       live.push_back(i);
     }
   }
   if (live.empty()) return 0;
   ++rounds_;
+  for (uint64_t& since : rounds_since_service_) ++since;
 
   // Arrivals: every live tenant's owners push this round whether or not the
   // tenant wins engine service (traffic does not wait for the scheduler;
@@ -167,7 +154,7 @@ size_t DeploymentFleet::StepAll() {
   // schedule is bit-identical at any thread count.
   std::vector<std::pair<uint64_t, size_t>> order;
   for (const size_t i : live) {
-    if (engines_[i]->queue_depth() > 0) order.emplace_back(PriorityKey(i), i);
+    if (QueueDepth(i) > 0) order.emplace_back(PriorityKey(i), i);
   }
   std::sort(order.begin(), order.end(),
             [](const std::pair<uint64_t, size_t>& a,
@@ -198,11 +185,11 @@ size_t DeploymentFleet::StepAll() {
   // one engine step.
   for (const size_t i : serve) {
     ++services_[i];
-    service_gaps_[i].push_back(rounds_ - last_service_round_[i]);
-    last_service_round_[i] = rounds_;
+    service_gaps_[i].push_back(rounds_since_service_[i]);
+    rounds_since_service_[i] = 0;
   }
   pool_.ParallelFor(serve.size(), [&](size_t k) {
-    INCSHRINK_CHECK(engines_[serve[k]]->Step().ok());
+    INCSHRINK_CHECK(deployments_[serve[k]]->engine().Step().ok());
   });
   return live.size();
 }
@@ -215,12 +202,12 @@ void DeploymentFleet::RunAll() {
 namespace {
 
 // ICKP layout of one migratable tenant: fingerprint, fleet-side scheduling
-// state, the engine's self-validating snapshot blob, then the two owners.
+// state, then the deployment's state sections (engine blob, two owners).
+// The scheduling section counts rounds since the last service, never an
+// absolute round of the source fleet, so it resumes correctly in any fleet;
+// blobs whose section carries another tag fail closed.
 constexpr uint32_t kTagTenantFingerprint = CheckpointTag('T', 'F', 'G', ' ');
-constexpr uint32_t kTagTenantSched = CheckpointTag('T', 'S', 'C', 'H');
-constexpr uint32_t kTagTenantEngine = CheckpointTag('E', 'N', 'G', ' ');
-constexpr uint32_t kTagTenantOwner1 = CheckpointTag('O', 'W', 'N', '1');
-constexpr uint32_t kTagTenantOwner2 = CheckpointTag('O', 'W', 'N', '2');
+constexpr uint32_t kTagTenantSched = CheckpointTag('T', 'S', 'C', '2');
 
 }  // namespace
 
@@ -228,8 +215,6 @@ Result<std::vector<uint8_t>> DeploymentFleet::CheckpointTenant(size_t i) {
   if (i >= tenants_.size()) {
     return Status::OutOfRange("tenant index out of range");
   }
-  INCSHRINK_ASSIGN_OR_RETURN(const std::vector<uint8_t> engine_blob,
-                             engines_[i]->SaveCheckpoint());
   CheckpointWriter w;
   w.BeginSection(kTagTenantFingerprint);
   w.U64(ConfigFingerprint(tenants_[i].config));
@@ -238,19 +223,11 @@ Result<std::vector<uint8_t>> DeploymentFleet::CheckpointTenant(size_t i) {
   w.U64(cursor_[i]);
   w.U64(age_[i]);
   w.U64(services_[i]);
-  w.U64(last_service_round_[i]);
+  w.U64(rounds_since_service_[i]);
   w.U64(service_gaps_[i].size());
   for (const uint64_t gap : service_gaps_[i]) w.U64(gap);
   w.EndSection();
-  w.BeginSection(kTagTenantEngine);
-  w.Bytes(engine_blob);
-  w.EndSection();
-  w.BeginSection(kTagTenantOwner1);
-  owners1_[i]->SaveTo(&w);
-  w.EndSection();
-  w.BeginSection(kTagTenantOwner2);
-  owners2_[i]->SaveTo(&w);
-  w.EndSection();
+  INCSHRINK_RETURN_NOT_OK(deployments_[i]->WriteStateSections(&w));
   std::vector<uint8_t> blob = w.Finish();
   if (blob.size() > tenants_[i].config.checkpoint_max_bytes) {
     return Status::OutOfRange(
@@ -279,7 +256,7 @@ Status DeploymentFleet::RestoreTenant(size_t i,
   const uint64_t cursor = r.U64();
   const uint64_t age = r.U64();
   const uint64_t services = r.U64();
-  const uint64_t last_service_round = r.U64();
+  const uint64_t rounds_since_service = r.U64();
   const uint64_t gap_count = r.U64();
   std::vector<uint64_t> gaps;
   for (uint64_t g = 0; g < gap_count && r.ok(); ++g) {
@@ -292,33 +269,13 @@ Status DeploymentFleet::RestoreTenant(size_t i,
         "tenant snapshot's stream cursor runs past this fleet's workload");
   }
 
-  r.BeginSection(kTagTenantEngine);
-  const std::vector<uint8_t> engine_blob = r.Bytes();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("embedded tenant engine snapshot"));
-
-  // Dry-run the owner sections into scratch clients (constructed without
-  // drawing anything shared), so every fallible decode precedes the first
-  // live mutation; see SynchronousDeployment::RestoreCheckpoint.
-  OwnerClient scratch1 =
-      MakeOwner1(tenants_[i].config, engines_[i]->channel1());
-  OwnerClient scratch2 =
-      MakeOwner2(tenants_[i].config, engines_[i]->channel2());
-  r.BeginSection(kTagTenantOwner1);
-  INCSHRINK_RETURN_NOT_OK(scratch1.RestoreFrom(&r));
-  r.EndSection();
-  r.BeginSection(kTagTenantOwner2);
-  INCSHRINK_RETURN_NOT_OK(scratch2.RestoreFrom(&r));
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.Finish());
-
-  INCSHRINK_RETURN_NOT_OK(engines_[i]->RestoreCheckpoint(engine_blob));
-  *owners1_[i] = std::move(scratch1);
-  *owners2_[i] = std::move(scratch2);
+  // The deployment decodes everything before committing; the scheduling
+  // scalars below commit only once it has.
+  INCSHRINK_RETURN_NOT_OK(deployments_[i]->RestoreStateSections(&r));
   cursor_[i] = cursor;
   age_[i] = age;
   services_[i] = services;
-  last_service_round_[i] = last_service_round;
+  rounds_since_service_[i] = rounds_since_service;
   service_gaps_[i] = std::move(gaps);
   return Status::OK();
 }
@@ -326,15 +283,15 @@ Status DeploymentFleet::RestoreTenant(size_t i,
 DeploymentFleet::FleetStats DeploymentFleet::AggregateStats() const {
   FleetStats stats;
   stats.rounds = rounds_;
-  std::vector<double> weighted_service(engines_.size(), 0.0);
-  stats.tenant_service.resize(engines_.size());
-  for (size_t i = 0; i < engines_.size(); ++i) {
-    const RunSummary s = engines_[i]->Summary();
+  std::vector<double> weighted_service(tenants_.size(), 0.0);
+  stats.tenant_service.resize(tenants_.size());
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    SynchronousDeployment& d = *deployments_[i];
+    const RunSummary s = d.Summary();
     stats.engine_steps += s.steps;
     stats.simulated_mpc_seconds += s.total_mpc_seconds;
     stats.simulated_query_seconds += s.total_query_seconds;
-    for (UploadChannel* ch :
-         {engines_[i]->channel1(), engines_[i]->channel2()}) {
+    for (UploadChannel* ch : {d.engine().channel1(), d.engine().channel2()}) {
       stats.upload_frames += ch->frames_pushed();
       stats.upload_backpressure += ch->push_rejects();
       stats.max_queue_depth =

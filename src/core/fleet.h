@@ -23,17 +23,18 @@ uint64_t DeriveTenantSeed(uint64_t root_seed, size_t tenant_index);
 /// served side by side, the shape Shrinkwrap/DP-Sync frame the server side
 /// as — one shared service answering many DP-protected instances.
 ///
-/// Tenants never share protocol state: each owns its Engine, owner clients,
-/// upload channels, parties, accountant and RNG substream, so stepping them
-/// concurrently is observationally identical to stepping them one at a
-/// time. The fleet's only cross-tenant artifacts are aggregate throughput
+/// Each tenant is one in-process SynchronousDeployment — its Engine, owner
+/// clients, upload channels, parties, accountant and RNG substream — so
+/// tenants never share protocol state and stepping them concurrently is
+/// observationally identical to stepping them one at a time. The fleet's only cross-tenant artifacts are aggregate throughput
 /// counters and the (public) service schedule.
 ///
 /// One round discipline. Every round has two phases, each concurrent
 /// across the pool:
 ///
-///  * **Arrivals**: every live tenant's owners push frames up to the
-///    configured lead over the engine's clock. Arrivals are exogenous —
+///  * **Arrivals**: every live tenant's owners push frame pairs, through
+///    the deployment's TryOwnerStep, up to the configured lead over the
+///    engine's clock. Arrivals are exogenous —
 ///    they happen whether or not the tenant wins engine service.
 ///
 ///  * **Service**: a set of backlogged tenants (queued frames) each runs
@@ -127,17 +128,22 @@ class DeploymentFleet {
   bool done() const;
   size_t num_tenants() const { return tenants_.size(); }
   const TenantSpec& tenant(size_t i) const { return tenants_[i]; }
-  const Engine& engine(size_t i) const { return *engines_[i]; }
-  const OwnerClient& owner1(size_t i) const { return *owners1_[i]; }
-  const OwnerClient& owner2(size_t i) const { return *owners2_[i]; }
+  const Engine& engine(size_t i) const { return deployments_[i]->engine(); }
+  const OwnerClient& owner1(size_t i) const {
+    return deployments_[i]->owner1();
+  }
+  const OwnerClient& owner2(size_t i) const {
+    return deployments_[i]->owner2();
+  }
   /// Frames queued but not yet drained by tenant `i`'s engine.
-  size_t QueueDepth(size_t i) const { return engines_[i]->queue_depth(); }
+  size_t QueueDepth(size_t i) const { return engine(i).queue_depth(); }
   uint64_t tenant_seed(size_t i) const;
-  RunSummary TenantSummary(size_t i) const { return engines_[i]->Summary(); }
+  RunSummary TenantSummary(size_t i) const { return engine(i).Summary(); }
 
-  /// Serializes tenant `i` — its engine (with channel backlogs), both
-  /// owners, and the fleet-side scheduling state (stream cursor, age,
-  /// service history) — into one ICKP snapshot. Together with RestoreTenant
+  /// Serializes tenant `i` — the fleet-side scheduling state (stream
+  /// cursor, age, service history), then its deployment's engine (with
+  /// channel backlogs) and both owners through the deployment's section
+  /// codec — into one ICKP snapshot. Together with RestoreTenant
   /// this is live tenant migration: a tenant checkpointed out of one fleet
   /// resumes bit-identically inside another fleet built from the same specs
   /// (worker budgets may differ — scheduling knobs are excluded from the
@@ -226,16 +232,16 @@ class DeploymentFleet {
   void RunOwnerPhase(size_t i);
 
   std::vector<TenantSpec> tenants_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<std::unique_ptr<OwnerClient>> owners1_;
-  std::vector<std::unique_ptr<OwnerClient>> owners2_;
+  std::vector<std::unique_ptr<SynchronousDeployment>> deployments_;
   std::vector<uint64_t> cursor_;  ///< next stream index per tenant's owners
   uint32_t owner_lead_;
   SchedulerOptions scheduler_;
   /// Backlogged-but-unserviced rounds per tenant (scheduler aging term).
   std::vector<uint64_t> age_;
-  std::vector<uint64_t> services_;            ///< engine steps per tenant
-  std::vector<uint64_t> last_service_round_;  ///< 0 = never serviced
+  std::vector<uint64_t> services_;  ///< engine steps per tenant
+  /// Rounds since the tenant's last service (since the start, if never
+  /// serviced). Relative, so it survives migration into another fleet.
+  std::vector<uint64_t> rounds_since_service_;
   std::vector<std::vector<uint64_t>> service_gaps_;  ///< rounds between
   std::vector<std::vector<uint32_t>> schedule_log_;
   uint64_t rounds_ = 0;

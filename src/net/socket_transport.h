@@ -183,8 +183,8 @@ struct SocketSenderOptions {
 /// channel is full), the kernel buffers fill and Flush stops making
 /// progress — the caller sees `!fully_flushed()` and refrains from queueing
 /// more, which is exactly the probe-before-build discipline OwnerClient's
-/// NoteBackpressure contract wants (src/core/socket_deployment.h wires it
-/// up).
+/// NoteBackpressure contract wants (SynchronousDeployment::OverLoopback in
+/// src/core/owner_client.h wires it up).
 class SocketSender {
  public:
   explicit SocketSender(const SocketSenderOptions& options = {});

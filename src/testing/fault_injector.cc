@@ -36,8 +36,8 @@ std::vector<uint8_t> FaultInjector::FlipRandomBit(
 }
 
 FaultPlan FaultInjector::MakePlan(uint64_t horizon, size_t kills,
-                                  size_t corruptions, uint64_t snapshot_bytes,
-                                  size_t drops, uint64_t max_drop_rounds) {
+                                  size_t corruptions,
+                                  uint64_t snapshot_bytes) {
   FaultPlan plan;
   plan.seed = seed_;
   for (size_t i = 0; i < kills; ++i) {
@@ -55,15 +55,11 @@ FaultPlan FaultInjector::MakePlan(uint64_t horizon, size_t kills,
                              rng_.Uniform(snapshot_bytes * 8)});
     }
   }
-  for (size_t i = 0; i < drops; ++i) {
-    plan.events.push_back({FaultKind::kSocketDrop, /*step=*/0,
-                           1 + rng_.Uniform(max_drop_rounds)});
-  }
   return plan;
 }
 
 Result<std::unique_ptr<SynchronousDeployment>> RunWithCrashAtStep(
-    const IncShrinkConfig& config,
+    const DeploymentFactory& make,
     const std::vector<std::vector<LogicalRecord>>& arrivals1,
     const std::vector<std::vector<LogicalRecord>>& arrivals2,
     uint64_t kill_step) {
@@ -73,16 +69,18 @@ Result<std::unique_ptr<SynchronousDeployment>> RunWithCrashAtStep(
   // Phase 1: the doomed process. Only `snapshot` survives past the kill.
   std::vector<uint8_t> snapshot;
   {
-    SynchronousDeployment doomed(config);
+    INCSHRINK_ASSIGN_OR_RETURN(std::unique_ptr<SynchronousDeployment> doomed,
+                               make());
     for (uint64_t t = 0; t < kill_step; ++t) {
-      INCSHRINK_RETURN_NOT_OK(doomed.Step(arrivals1[t], arrivals2[t]));
+      INCSHRINK_RETURN_NOT_OK(doomed->Step(arrivals1[t], arrivals2[t]));
     }
-    INCSHRINK_ASSIGN_OR_RETURN(snapshot, doomed.SaveCheckpoint());
+    INCSHRINK_ASSIGN_OR_RETURN(snapshot, doomed->SaveCheckpoint());
   }  // crash: the deployment and all its in-memory state die here
 
   // Phase 2: the restarted process — a cold deployment restored from the
   // snapshot, finishing the stream.
-  auto restored = std::make_unique<SynchronousDeployment>(config);
+  INCSHRINK_ASSIGN_OR_RETURN(std::unique_ptr<SynchronousDeployment> restored,
+                             make());
   INCSHRINK_RETURN_NOT_OK(restored->RestoreCheckpoint(snapshot));
   for (uint64_t t = kill_step; t < arrivals1.size(); ++t) {
     INCSHRINK_RETURN_NOT_OK(restored->Step(arrivals1[t], arrivals2[t]));

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,7 +15,7 @@ namespace incshrink {
 /// \brief Deterministic fault injection for the crash-recovery suite.
 ///
 /// Every fault — where a process dies, where a write tears, which bit a
-/// disk flips, how long a socket stays dark — is drawn from one seeded Rng,
+/// disk flips — is drawn from one seeded Rng,
 /// so a failing fault schedule is reproducible from its seed alone. The
 /// injector only *plans and corrupts*; it never touches live engine state
 /// (crashes are simulated by dropping the live object and restoring a
@@ -23,7 +24,6 @@ enum class FaultKind : uint8_t {
   kKillAtStep,  ///< process dies after completing engine step `step`
   kTornWrite,   ///< snapshot persisted as a strict prefix of `param` bytes
   kBitFlip,     ///< bit `param` of the persisted snapshot flips
-  kSocketDrop,  ///< owner link drops; reconnect after `param` poll rounds
 };
 
 struct FaultEvent {
@@ -31,7 +31,6 @@ struct FaultEvent {
   /// kKillAtStep: the 1-based engine step to die after. Others: unused.
   uint64_t step = 0;
   /// kTornWrite: surviving prefix length. kBitFlip: absolute bit index.
-  /// kSocketDrop: outage length in poll rounds.
   uint64_t param = 0;
 };
 
@@ -65,28 +64,29 @@ class FaultInjector {
 
   /// Draws a fault schedule: `kills` kill events over [1, horizon] plus
   /// `corruptions` torn-write/bit-flip events (parameters resolved against
-  /// `snapshot_bytes`) plus `drops` socket outages of at most
-  /// `max_drop_rounds` rounds. Event order is the draw order — fixed by
-  /// the seed.
+  /// `snapshot_bytes`). Event order is the draw order — fixed by the seed.
   FaultPlan MakePlan(uint64_t horizon, size_t kills, size_t corruptions,
-                     uint64_t snapshot_bytes, size_t drops,
-                     uint64_t max_drop_rounds);
+                     uint64_t snapshot_bytes);
 
  private:
   uint64_t seed_;
   Rng rng_;
 };
 
-/// Crash-restart harness: runs a SynchronousDeployment over the aligned
+/// Builds a fresh deployment — in-process or over loopback TCP.
+using DeploymentFactory =
+    std::function<Result<std::unique_ptr<SynchronousDeployment>>()>;
+
+/// Crash-restart harness: runs a deployment from `make` over the aligned
 /// arrival streams, "killing the process" right after engine step
 /// `kill_step` — the snapshot taken there is the only thing that survives —
-/// then restores it into a freshly constructed deployment and finishes the
+/// then restores it into a second deployment from `make` and finishes the
 /// remaining steps there. Returns the restored deployment so the caller can
 /// compare its summaries/transcripts/goldens against an uninterrupted run
 /// (they must be bit-identical; tests/checkpoint_restore_test.cc pins
-/// this for every DP strategy at 1/2/8 threads).
+/// this for every DP strategy at 1/2/8 threads and over both transports).
 Result<std::unique_ptr<SynchronousDeployment>> RunWithCrashAtStep(
-    const IncShrinkConfig& config,
+    const DeploymentFactory& make,
     const std::vector<std::vector<LogicalRecord>>& arrivals1,
     const std::vector<std::vector<LogicalRecord>>& arrivals2,
     uint64_t kill_step);

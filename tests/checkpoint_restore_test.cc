@@ -3,12 +3,15 @@
 //   * kill-at-step-k + restore must reproduce the uninterrupted run BIT FOR
 //     BIT — summaries, step metrics, transcripts, DP releases, and the final
 //     snapshot bytes themselves — for every Shrink strategy, sharded and
-//     unsharded, at 1 / 2 / 8 shard threads, for every kill step;
+//     unsharded, at 1 / 2 / 8 shard threads, for every kill step, and over
+//     the loopback-TCP transport at seeded kill steps;
+//   * snapshots are transport-independent: an in-process snapshot restores
+//     into a loopback deployment and vice versa;
 //   * snapshotting draws no randomness: an auto-checkpointing run equals an
 //     uncheckpointed one;
 //   * fleet tenants checkpoint out of one fleet and resume bit-identically
 //     inside a freshly built fleet (live migration), including their
-//     scheduling state;
+//     scheduling state and service-gap statistics;
 //   * every malformed snapshot — truncated, bit-flipped, config-mismatched —
 //     is rejected with a Status, never loaded, and leaves the target usable.
 //
@@ -19,6 +22,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -38,6 +43,16 @@ GeneratedWorkload SmallWorkload() {
   p.steps = kSteps;
   p.seed = 77;
   return GenerateTpcDs(p);
+}
+
+DeploymentFactory InProcess(const IncShrinkConfig& cfg) {
+  return [cfg]() -> Result<std::unique_ptr<SynchronousDeployment>> {
+    return std::make_unique<SynchronousDeployment>(cfg);
+  };
+}
+
+DeploymentFactory Loopback(const IncShrinkConfig& cfg) {
+  return [cfg] { return SynchronousDeployment::OverLoopback(cfg); };
 }
 
 IncShrinkConfig CheckpointConfig(Strategy strategy, uint32_t shards,
@@ -130,7 +145,7 @@ TEST_P(CrashRestartTest, KillAtEveryStepRestoresBitIdentical) {
 
   for (uint64_t k = 1; k < kSteps; ++k) {
     Result<std::unique_ptr<SynchronousDeployment>> restored =
-        RunWithCrashAtStep(cfg, w.t1, w.t2, k);
+        RunWithCrashAtStep(InProcess(cfg), w.t1, w.t2, k);
     ASSERT_TRUE(restored.ok()) << "kill step " << k << ": "
                                << restored.status().message();
     ExpectEngineIdentical(uninterrupted.engine(), (*restored)->engine());
@@ -157,6 +172,84 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(Strategy::kDpTimer, 4u, 8),
         std::make_tuple(Strategy::kDpAnt, 4u, 8),
         std::make_tuple(Strategy::kEp, 4u, 8)));
+
+// The same property over the loopback-TCP transport, at kill steps drawn
+// from a seeded fault plan: every restored wire run equals the
+// uninterrupted in-process run.
+class LoopbackCrashRestartTest : public ::testing::TestWithParam<Strategy> {};
+
+TEST_P(LoopbackCrashRestartTest, SeededKillsRestoreBitIdentical) {
+  const GeneratedWorkload w = SmallWorkload();
+  const IncShrinkConfig cfg = CheckpointConfig(GetParam(), 1, 1);
+
+  SynchronousDeployment uninterrupted(cfg);
+  ASSERT_TRUE(uninterrupted.Run(w.t1, w.t2).ok());
+  Result<std::vector<uint8_t>> golden = uninterrupted.SaveCheckpoint();
+  ASSERT_TRUE(golden.ok());
+
+  FaultInjector inject(0x50CE7);
+  const FaultPlan plan = inject.MakePlan(/*horizon=*/kSteps, /*kills=*/3,
+                                         /*corruptions=*/0,
+                                         /*snapshot_bytes=*/0);
+  ASSERT_EQ(plan.events.size(), 3u);
+  for (const FaultEvent& ev : plan.events) {
+    ASSERT_EQ(ev.kind, FaultKind::kKillAtStep);
+    Result<std::unique_ptr<SynchronousDeployment>> restored =
+        RunWithCrashAtStep(Loopback(cfg), w.t1, w.t2, ev.step);
+    ASSERT_TRUE(restored.ok()) << "seed " << plan.seed << " kill step "
+                               << ev.step << ": "
+                               << restored.status().message();
+    ExpectEngineIdentical(uninterrupted.engine(), (*restored)->engine());
+    EXPECT_EQ((*restored)->owner1().clock(), uninterrupted.owner1().clock());
+    EXPECT_EQ((*restored)->owner2().clock(), uninterrupted.owner2().clock());
+    Result<std::vector<uint8_t>> after = (*restored)->SaveCheckpoint();
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*golden, *after) << "seed " << plan.seed << " kill step "
+                               << ev.step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TimerAndAnt, LoopbackCrashRestartTest,
+                         ::testing::Values(Strategy::kDpTimer,
+                                           Strategy::kDpAnt));
+
+// Snapshots do not depend on the transport: a mid-run snapshot taken on one
+// transport restores into the other, re-saves to the same bytes, and the
+// restored deployment finishes the run bit-identically.
+TEST(CrossTransportRestoreTest, SnapshotsMoveBetweenTransports) {
+  const GeneratedWorkload w = SmallWorkload();
+  const IncShrinkConfig cfg = CheckpointConfig(Strategy::kDpAnt, 1, 1);
+  constexpr uint64_t kCut = kSteps / 2;
+
+  SynchronousDeployment uninterrupted(cfg);
+  ASSERT_TRUE(uninterrupted.Run(w.t1, w.t2).ok());
+
+  const std::pair<DeploymentFactory, DeploymentFactory> moves[] = {
+      {InProcess(cfg), Loopback(cfg)}, {Loopback(cfg), InProcess(cfg)}};
+  for (const auto& [make_source, make_target] : moves) {
+    Result<std::unique_ptr<SynchronousDeployment>> source = make_source();
+    ASSERT_TRUE(source.ok()) << source.status().message();
+    for (uint64_t t = 0; t < kCut; ++t) {
+      ASSERT_TRUE((*source)->Step(w.t1[t], w.t2[t]).ok());
+    }
+    Result<std::vector<uint8_t>> blob = (*source)->SaveCheckpoint();
+    ASSERT_TRUE(blob.ok());
+
+    Result<std::unique_ptr<SynchronousDeployment>> target = make_target();
+    ASSERT_TRUE(target.ok()) << target.status().message();
+    ASSERT_TRUE((*target)->RestoreCheckpoint(*blob).ok());
+    Result<std::vector<uint8_t>> again = (*target)->SaveCheckpoint();
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*blob, *again);
+
+    for (uint64_t t = kCut; t < kSteps; ++t) {
+      ASSERT_TRUE((*target)->Step(w.t1[t], w.t2[t]).ok());
+    }
+    ExpectEngineIdentical(uninterrupted.engine(), (*target)->engine());
+    EXPECT_EQ((*target)->owner1().clock(), uninterrupted.owner1().clock());
+    EXPECT_EQ((*target)->owner2().clock(), uninterrupted.owner2().clock());
+  }
+}
 
 // Checkpointing draws no randomness: an auto-checkpointing run must equal an
 // uncheckpointed one observable for observable.
@@ -188,6 +281,22 @@ TEST(CheckpointNeutralityTest, AutoCheckpointingLeavesRunBitIdentical) {
 // Fleet tenant migration.
 // ---------------------------------------------------------------------------
 
+void ExpectServiceIdentical(const DeploymentFleet& a,
+                            const DeploymentFleet& b) {
+  const DeploymentFleet::FleetStats sa = a.AggregateStats();
+  const DeploymentFleet::FleetStats sb = b.AggregateStats();
+  ASSERT_EQ(sa.tenant_service.size(), sb.tenant_service.size());
+  for (size_t i = 0; i < sa.tenant_service.size(); ++i) {
+    const DeploymentFleet::TenantServiceStats& x = sa.tenant_service[i];
+    const DeploymentFleet::TenantServiceStats& y = sb.tenant_service[i];
+    EXPECT_EQ(x.services, y.services) << "tenant " << i;
+    EXPECT_EQ(x.gap_p50, y.gap_p50) << "tenant " << i;
+    EXPECT_EQ(x.gap_p95, y.gap_p95) << "tenant " << i;
+    EXPECT_EQ(x.gap_p99, y.gap_p99) << "tenant " << i;
+    EXPECT_EQ(x.gap_max, y.gap_max) << "tenant " << i;
+  }
+}
+
 TEST(FleetMigrationTest, TenantsMigrateBitIdentically) {
   const GeneratedWorkload w1 = SmallWorkload();
   TpcDsParams p2;
@@ -195,53 +304,77 @@ TEST(FleetMigrationTest, TenantsMigrateBitIdentically) {
   p2.seed = 78;
   const GeneratedWorkload w2 = GenerateTpcDs(p2);
 
-  std::vector<DeploymentFleet::TenantSpec> specs(2);
-  specs[0].name = "timer";
-  specs[0].config = CheckpointConfig(Strategy::kDpTimer, 1, 1);
-  specs[0].workload = &w1;
-  specs[1].name = "ant";
-  specs[1].config = CheckpointConfig(Strategy::kDpAnt, 1, 1);
-  specs[1].workload = &w2;
-
-  DeploymentFleet::Options opts;
-  opts.root_seed = 9;
-  opts.num_threads = 2;
-
-  // Reference: one fleet runs the whole stream uninterrupted.
-  DeploymentFleet reference(specs, opts);
-  reference.RunAll();
-
-  // Migration: run half the rounds, checkpoint both tenants, restore them
-  // into a freshly built fleet (different worker budget — scheduling knobs
-  // are outside the fingerprint) and finish there.
-  DeploymentFleet source(specs, opts);
-  for (int r = 0; r < 4; ++r) source.StepAll();
-  Result<std::vector<uint8_t>> blob0 = source.CheckpointTenant(0);
-  Result<std::vector<uint8_t>> blob1 = source.CheckpointTenant(1);
-  ASSERT_TRUE(blob0.ok());
-  ASSERT_TRUE(blob1.ok());
-
-  DeploymentFleet::Options migrated_opts = opts;
-  migrated_opts.num_threads = 1;
-  DeploymentFleet migrated(specs, migrated_opts);
-  ASSERT_TRUE(migrated.RestoreTenant(0, *blob0).ok());
-  ASSERT_TRUE(migrated.RestoreTenant(1, *blob1).ok());
-  migrated.RunAll();
-
+  struct Scenario {
+    std::vector<DeploymentFleet::TenantSpec> specs;
+    DeploymentFleet::Options opts;
+    int rounds_before_migration;
+  };
+  std::vector<Scenario> scenarios(2);
+  // Every backlogged tenant served every round: one Timer, one ANT tenant.
+  scenarios[0].specs.resize(2);
+  scenarios[0].specs[0].name = "timer";
+  scenarios[0].specs[0].config = CheckpointConfig(Strategy::kDpTimer, 1, 1);
+  scenarios[0].specs[0].workload = &w1;
+  scenarios[0].specs[1].name = "ant";
+  scenarios[0].specs[1].config = CheckpointConfig(Strategy::kDpAnt, 1, 1);
+  scenarios[0].specs[1].workload = &w2;
+  scenarios[0].opts.root_seed = 9;
+  scenarios[0].opts.num_threads = 2;
+  scenarios[0].rounds_before_migration = 4;
+  // One service per round between two Timer tenants: the migration lands
+  // while a tenant is still waiting for service, so its service-gap
+  // history must carry over relative to its own rounds.
+  scenarios[1].specs.resize(2);
   for (size_t i = 0; i < 2; ++i) {
-    ExpectEngineIdentical(reference.engine(i), migrated.engine(i));
-    EXPECT_EQ(reference.owner1(i).clock(), migrated.owner1(i).clock());
-    EXPECT_EQ(reference.owner2(i).clock(), migrated.owner2(i).clock());
+    scenarios[1].specs[i].name = "timer" + std::to_string(i);
+    scenarios[1].specs[i].config = CheckpointConfig(Strategy::kDpTimer, 1, 1);
+    scenarios[1].specs[i].workload = i == 0 ? &w1 : &w2;
   }
+  scenarios[1].opts.root_seed = 9;
+  scenarios[1].opts.num_threads = 2;
+  scenarios[1].opts.scheduler.enabled = true;
+  scenarios[1].opts.scheduler.services_per_round = 1;
+  scenarios[1].rounds_before_migration = 10;
 
-  // Cross-tenant mixups must fail closed: tenant 1's blob does not restore
-  // into slot 0 (different config fingerprint), and the failed attempt
-  // leaves the tenant running.
-  DeploymentFleet again(specs, opts);
-  const Status mixed = again.RestoreTenant(0, *blob1);
-  EXPECT_EQ(mixed.code(), StatusCode::kFailedPrecondition);
-  again.RunAll();
-  ExpectEngineIdentical(reference.engine(0), again.engine(0));
+  for (const Scenario& sc : scenarios) {
+    SCOPED_TRACE(sc.opts.scheduler.enabled ? "scheduler" : "serve-all");
+    // Reference: one fleet runs the whole stream uninterrupted.
+    DeploymentFleet reference(sc.specs, sc.opts);
+    reference.RunAll();
+
+    // Migration: run some rounds, checkpoint both tenants, restore them
+    // into a freshly built fleet (different worker budget — scheduling
+    // knobs are outside the fingerprint) and finish there.
+    DeploymentFleet source(sc.specs, sc.opts);
+    for (int r = 0; r < sc.rounds_before_migration; ++r) source.StepAll();
+    Result<std::vector<uint8_t>> blob0 = source.CheckpointTenant(0);
+    Result<std::vector<uint8_t>> blob1 = source.CheckpointTenant(1);
+    ASSERT_TRUE(blob0.ok());
+    ASSERT_TRUE(blob1.ok());
+
+    DeploymentFleet::Options migrated_opts = sc.opts;
+    migrated_opts.num_threads = 1;
+    DeploymentFleet migrated(sc.specs, migrated_opts);
+    ASSERT_TRUE(migrated.RestoreTenant(0, *blob0).ok());
+    ASSERT_TRUE(migrated.RestoreTenant(1, *blob1).ok());
+    migrated.RunAll();
+
+    for (size_t i = 0; i < 2; ++i) {
+      ExpectEngineIdentical(reference.engine(i), migrated.engine(i));
+      EXPECT_EQ(reference.owner1(i).clock(), migrated.owner1(i).clock());
+      EXPECT_EQ(reference.owner2(i).clock(), migrated.owner2(i).clock());
+    }
+    ExpectServiceIdentical(reference, migrated);
+
+    // Cross-tenant mixups must fail closed: tenant 1's blob does not
+    // restore into slot 0 (different config fingerprint), and the failed
+    // attempt leaves the tenant running.
+    DeploymentFleet again(sc.specs, sc.opts);
+    const Status mixed = again.RestoreTenant(0, *blob1);
+    EXPECT_EQ(mixed.code(), StatusCode::kFailedPrecondition);
+    again.RunAll();
+    ExpectEngineIdentical(reference.engine(0), again.engine(0));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +438,7 @@ TEST(CheckpointRejectionTest, ValidateRejectsTinyCeiling) {
 // Deterministic fault schedules: every corruption the injector draws from a
 // seed is rejected with a Status and leaves the engine able to load the
 // pristine snapshot afterwards.
+// Runs against an in-process and a loopback victim.
 TEST(CheckpointRejectionTest, InjectedCorruptionsAllFailClosed) {
   const GeneratedWorkload w = SmallWorkload();
   const IncShrinkConfig cfg = CheckpointConfig(Strategy::kDpAnt, 1, 1);
@@ -313,27 +447,30 @@ TEST(CheckpointRejectionTest, InjectedCorruptionsAllFailClosed) {
   Result<std::vector<uint8_t>> blob = source.SaveCheckpoint();
   ASSERT_TRUE(blob.ok());
 
-  SynchronousDeployment victim(cfg);
-  FaultInjector inject(0xC0FFEE);
-  const FaultPlan plan = inject.MakePlan(
-      /*horizon=*/kSteps, /*kills=*/0, /*corruptions=*/64,
-      /*snapshot_bytes=*/blob->size(), /*drops=*/0, /*max_drop_rounds=*/1);
-  for (const FaultEvent& ev : plan.events) {
-    std::vector<uint8_t> bad;
-    if (ev.kind == FaultKind::kTornWrite) {
-      bad = FaultInjector::TruncateAt(*blob, ev.param);
-    } else {
-      ASSERT_EQ(ev.kind, FaultKind::kBitFlip);
-      bad = FaultInjector::FlipBit(*blob, ev.param);
+  for (const DeploymentFactory& make : {InProcess(cfg), Loopback(cfg)}) {
+    Result<std::unique_ptr<SynchronousDeployment>> victim = make();
+    ASSERT_TRUE(victim.ok()) << victim.status().message();
+    FaultInjector inject(0xC0FFEE);
+    const FaultPlan plan = inject.MakePlan(
+        /*horizon=*/kSteps, /*kills=*/0, /*corruptions=*/64,
+        /*snapshot_bytes=*/blob->size());
+    for (const FaultEvent& ev : plan.events) {
+      std::vector<uint8_t> bad;
+      if (ev.kind == FaultKind::kTornWrite) {
+        bad = FaultInjector::TruncateAt(*blob, ev.param);
+      } else {
+        ASSERT_EQ(ev.kind, FaultKind::kBitFlip);
+        bad = FaultInjector::FlipBit(*blob, ev.param);
+      }
+      EXPECT_FALSE((*victim)->RestoreCheckpoint(bad).ok())
+          << "seed " << plan.seed << " accepted a corrupted snapshot";
     }
-    EXPECT_FALSE(victim.RestoreCheckpoint(bad).ok())
-        << "seed " << plan.seed << " accepted a corrupted snapshot";
+    // After every hostile blob bounced, the pristine one still loads.
+    EXPECT_TRUE((*victim)->RestoreCheckpoint(*blob).ok());
+    Result<std::vector<uint8_t>> after = (*victim)->SaveCheckpoint();
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*blob, *after);
   }
-  // After every hostile blob bounced, the pristine one still loads.
-  EXPECT_TRUE(victim.RestoreCheckpoint(*blob).ok());
-  Result<std::vector<uint8_t>> after = victim.SaveCheckpoint();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*blob, *after);
 }
 
 }  // namespace

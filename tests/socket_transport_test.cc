@@ -1,8 +1,8 @@
 // Real socket transport (wire layer of the owners→servers architecture):
 // frame codec hardening, listener/sender loopback behavior, hostile-frame
 // rejection with per-connection public counters, wire backpressure, and the
-// determinism contract: a SocketDeployment (frames over real TCP) reproduces
-// the in-process SynchronousDeployment bit for bit — summaries and
+// determinism contract: a loopback deployment (frames over real TCP)
+// reproduces the in-process SynchronousDeployment bit for bit — summaries and
 // transcripts — for every DP strategy at 1/2/8 threads, on both the epoll
 // and the portable poll() event paths. Runs under the TSan CI job alongside
 // the other transport suites, and under the ASan job for the hostile paths.
@@ -23,7 +23,6 @@
 #include "src/common/rng.h"
 #include "src/core/engine.h"
 #include "src/core/owner_client.h"
-#include "src/core/socket_deployment.h"
 #include "src/net/frame_codec.h"
 #include "src/net/socket_transport.h"
 #include "src/net/upload_channel.h"
@@ -668,15 +667,16 @@ TEST_P(SocketEquivalenceTest, WireRunReproducesInProcessRunBitForBit) {
   SynchronousDeployment in_process(config);
   ASSERT_TRUE(in_process.Run(workload.t1, workload.t2).ok());
 
-  SocketDeployment wire(config);
-  ASSERT_TRUE(wire.Start().ok());
-  ASSERT_TRUE(wire.Run(workload.t1, workload.t2).ok());
+  Result<std::unique_ptr<SynchronousDeployment>> wire =
+      SynchronousDeployment::OverLoopback(config);
+  ASSERT_TRUE(wire.ok()) << wire.status().message();
+  ASSERT_TRUE((*wire)->Run(workload.t1, workload.t2).ok());
 
-  ExpectSummaryIdentical(wire.Summary(), in_process.Summary());
-  EXPECT_EQ(wire.transcript(), in_process.transcript());
-  EXPECT_EQ(wire.engine().frames_drained(),
+  ExpectSummaryIdentical((*wire)->Summary(), in_process.Summary());
+  EXPECT_EQ((*wire)->transcript(), in_process.transcript());
+  EXPECT_EQ((*wire)->engine().frames_drained(),
             in_process.engine().frames_drained());
-  EXPECT_EQ(wire.listener().frames_rejected(), 0u);
+  EXPECT_EQ((*wire)->listener()->frames_rejected(), 0u);
 }
 
 IncShrinkConfig SmallFilterConfig() {
@@ -697,7 +697,7 @@ IncShrinkConfig SmallFilterConfig() {
   return config;
 }
 
-TEST(SocketDeploymentTest, FilterViewRunsOverTheWire) {
+TEST(LoopbackDeploymentTest, FilterViewRunsOverTheWire) {
   // Filter views have a single owner stream; the deployment must not dial
   // (or wait on) a second connection, and must still be bit-identical.
   const uint64_t kSteps = 30;
@@ -717,16 +717,17 @@ TEST(SocketDeploymentTest, FilterViewRunsOverTheWire) {
   SynchronousDeployment in_process(config);
   ASSERT_TRUE(in_process.Run(t1, t2).ok());
 
-  SocketDeployment wire(config);
-  ASSERT_TRUE(wire.Start().ok());
-  ASSERT_TRUE(wire.Run(t1, t2).ok());
+  Result<std::unique_ptr<SynchronousDeployment>> wire =
+      SynchronousDeployment::OverLoopback(config);
+  ASSERT_TRUE(wire.ok()) << wire.status().message();
+  ASSERT_TRUE((*wire)->Run(t1, t2).ok());
 
-  ExpectSummaryIdentical(wire.Summary(), in_process.Summary());
-  EXPECT_EQ(wire.transcript(), in_process.transcript());
-  EXPECT_EQ(wire.listener().connections_accepted(), 1u);
+  ExpectSummaryIdentical((*wire)->Summary(), in_process.Summary());
+  EXPECT_EQ((*wire)->transcript(), in_process.transcript());
+  EXPECT_EQ((*wire)->listener()->connections_accepted(), 1u);
 }
 
-TEST(SocketDeploymentTest, PollFallbackPathIsBitIdenticalToo) {
+TEST(LoopbackDeploymentTest, PollFallbackPathIsBitIdenticalToo) {
   const GeneratedWorkload workload = SmallTpcDs();
   IncShrinkConfig config = DefaultTpcDsConfig();
   config.strategy = Strategy::kDpTimer;
@@ -734,14 +735,15 @@ TEST(SocketDeploymentTest, PollFallbackPathIsBitIdenticalToo) {
   SynchronousDeployment in_process(config);
   ASSERT_TRUE(in_process.Run(workload.t1, workload.t2).ok());
 
-  SocketDeployment::Options options = SocketDeployment::DefaultOptions();
+  LoopbackOptions options;
   options.listener.use_epoll = false;
-  SocketDeployment wire(config, options);
-  ASSERT_TRUE(wire.Start().ok());
-  ASSERT_TRUE(wire.Run(workload.t1, workload.t2).ok());
+  Result<std::unique_ptr<SynchronousDeployment>> wire =
+      SynchronousDeployment::OverLoopback(config, options);
+  ASSERT_TRUE(wire.ok()) << wire.status().message();
+  ASSERT_TRUE((*wire)->Run(workload.t1, workload.t2).ok());
 
-  ExpectSummaryIdentical(wire.Summary(), in_process.Summary());
-  EXPECT_EQ(wire.transcript(), in_process.transcript());
+  ExpectSummaryIdentical((*wire)->Summary(), in_process.Summary());
+  EXPECT_EQ((*wire)->transcript(), in_process.transcript());
 }
 
 }  // namespace

@@ -126,37 +126,37 @@ if [ -d src/net ]; then
   fi
 fi
 
-# Wall-clock hygiene (socket-transport satellite): the transport layer must
-# also never *read a clock* — arrival timing must not be able to steer what
-# any deployment computes. The single sanctioned exception is the integer
-# millisecond timeout handed to poll(2)/epoll_wait(2), which bounds a
-# blocking wait and feeds nothing back into behavior; every such line must
-# carry a `net-timeout-ok` marker so the exception stays enumerable.
-if [ -d src/net ]; then
-  CLOCK_PATTERNS=(
-    'std::chrono'
-    '::now\s*\('
-    '\btime\s*\(\s*(NULL|nullptr|0|&)'
-    'clock_gettime'
-    'gettimeofday'
-    'sleep_for'
-    'sleep_until'
-    '\busleep\s*\('
-    '\bnanosleep\s*\('
-  )
-  for pattern in "${CLOCK_PATTERNS[@]}"; do
-    hits=$(grep -rnE "$pattern" src/net 2>/dev/null | grep -v 'net-timeout-ok')
-    if [ -n "$hits" ]; then
-      say "FORBIDDEN wall-clock access in the transport layer (pattern: $pattern):"
-      echo "$hits"
-      fail=1
-    fi
-  done
-  if [ "$fail" -ne 0 ]; then
-    echo
-    say "src/net must stay clock-free; a poll/epoll_wait timeout bound is the"
-    say "only exception and its line must be marked // net-timeout-ok."
+# Wall-clock hygiene (socket-transport satellite): the library must never
+# *read a clock* — arrival timing must not be able to steer what any
+# deployment computes, and the deployment driver polls the socket listener
+# from src/core, so the scan covers all of src/. The single sanctioned
+# exception is the integer millisecond timeout handed to poll(2)/
+# epoll_wait(2), which bounds a blocking wait and feeds nothing back into
+# behavior; every such line must carry a `net-timeout-ok` marker so the
+# exception stays enumerable.
+CLOCK_PATTERNS=(
+  'std::chrono'
+  '::now\s*\('
+  '\btime\s*\(\s*(NULL|nullptr|0|&)'
+  'clock_gettime'
+  'gettimeofday'
+  'sleep_for'
+  'sleep_until'
+  '\busleep\s*\('
+  '\bnanosleep\s*\('
+)
+for pattern in "${CLOCK_PATTERNS[@]}"; do
+  hits=$(grep -rnE "$pattern" src 2>/dev/null | grep -v 'net-timeout-ok')
+  if [ -n "$hits" ]; then
+    say "FORBIDDEN wall-clock access in src/ (pattern: $pattern):"
+    echo "$hits"
+    fail=1
   fi
+done
+if [ "$fail" -ne 0 ]; then
+  echo
+  say "src/ must stay clock-free; a poll/epoll_wait timeout bound is the"
+  say "only exception and its line must be marked // net-timeout-ok."
 fi
 
 if [ "$fail" -ne 0 ]; then
