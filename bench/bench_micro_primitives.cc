@@ -452,8 +452,7 @@ void MeasureFlushGateRatio(incshrink::bench::JsonWriter* json) {
   Protocol2PC batcher(&a0, &a1, CostModel::EmpLikeLan());
   SharedRows cache_b = input;
   const auto t0 = std::chrono::steady_clock::now();
-  SharedRows fetched_b =
-      CacheFlush(&batcher, &cache_b, flush_size, SortAlgorithm::kBatcher);
+  SharedRows fetched_b = CacheFlush(&batcher, &cache_b, flush_size);
   const auto t1 = std::chrono::steady_clock::now();
   const uint64_t batcher_gates = batcher.Snapshot().and_gates;
 
@@ -461,8 +460,8 @@ void MeasureFlushGateRatio(incshrink::bench::JsonWriter* json) {
   Protocol2PC waksman(&b0, &b1, CostModel::EmpLikeLan());
   SharedRows cache_w = input;
   const auto t2 = std::chrono::steady_clock::now();
-  SharedRows fetched_w = CacheFlush(&waksman, &cache_w, flush_size,
-                                    SortAlgorithm::kShuffleSort);
+  ObliviousRandomPermute(&waksman, &cache_w);
+  SharedRows fetched_w = TakeFlushPrefix(&waksman, &cache_w, flush_size);
   const auto t3 = std::chrono::steady_clock::now();
   const uint64_t waksman_gates = waksman.Snapshot().and_gates;
 

@@ -145,7 +145,9 @@ uint64_t ConfigFingerprint(const IncShrinkConfig& config) {
   }
   hasher.U64(config.max_batches_per_step);
   hasher.U64(config.upload_channel_capacity);
-  hasher.Byte(config.compact_transform_output ? 1 : 0);
+  // Whether Transform compacts its padded outputs (every strategy but EP);
+  // derived, but hashed in its own slot so fingerprints stay stable.
+  hasher.Byte(config.strategy != Strategy::kEp ? 1 : 0);
   hasher.F64(config.cost_model.seconds_per_and_gate);
   hasher.F64(config.cost_model.seconds_per_byte);
   hasher.F64(config.cost_model.seconds_per_round);

@@ -143,12 +143,6 @@ struct IncShrinkConfig {
   /// lead (owners may queue at most `capacity` steps ahead).
   uint32_t upload_channel_capacity = 64;
 
-  /// Whether Transform obliviously compacts its padded operator outputs to
-  /// the tight public bound before caching. The DP protocols rely on this
-  /// to keep the cache small; the EP baseline materializes the raw
-  /// exhaustively padded outputs (the engine clears this flag for EP).
-  bool compact_transform_output = true;
-
   // --- crash recovery (ICKP snapshots, src/storage/checkpoint.h) ---
   /// Automatic checkpoint cadence in engine steps: after every
   /// `checkpoint_interval`-th completed step the engine serializes its full

@@ -18,15 +18,6 @@ namespace incshrink {
 
 namespace {
 
-IncShrinkConfig AdjustForStrategy(IncShrinkConfig config) {
-  if (config.strategy == Strategy::kEp) {
-    // EP's defining behaviour: materialize the exhaustively padded MPC
-    // outputs verbatim (no oblivious compaction).
-    config.compact_transform_output = false;
-  }
-  return config;
-}
-
 // ---------------------------------------------------------------------------
 // ICKP snapshot layout of one engine (src/storage/checkpoint.h). Sections in
 // fixed order; every variable-length list is count-prefixed and decoded under
@@ -147,7 +138,7 @@ bool LoadMetrics(CheckpointReader* r, StepMetrics* m) {
 }  // namespace
 
 Engine::Engine(const IncShrinkConfig& config)
-    : config_(AdjustForStrategy(config)),
+    : config_(config),
       channel1_(config.upload_channel_capacity),
       channel2_(config.upload_channel_capacity),
       s0_(0, config.seed * 0x9E3779B97F4A7C15ull + 1),
@@ -165,29 +156,20 @@ Engine::Engine(const IncShrinkConfig& config)
   INCSHRINK_CHECK(config.Validate().ok());
   // One Shrink instance per shard, each constructed on its shard's protocol
   // with its eps slice. For K == 1 the single instance lives on the
-  // engine's own protocol with the full eps — exactly the pre-sharding
-  // construction, bit for bit.
-  const std::vector<double>& slices = cache_.shard_eps();
-  shard_configs_.reserve(slices.size());
-  for (const double slice : slices) {
-    IncShrinkConfig shard_cfg = config_;
-    shard_cfg.eps = slice;
-    shard_configs_.push_back(shard_cfg);
-  }
-  if (config.strategy == Strategy::kDpTimer) {
-    for (size_t k = 0; k < shard_configs_.size(); ++k) {
-      timers_.push_back(std::make_unique<ShrinkTimer>(cache_.shard_proto(k),
-                                                      shard_configs_[k]));
-    }
-  } else if (config.strategy == Strategy::kDpAnt) {
-    for (size_t k = 0; k < shard_configs_.size(); ++k) {
-      ants_.push_back(std::make_unique<ShrinkAnt>(cache_.shard_proto(k),
-                                                  shard_configs_[k]));
+  // engine's own protocol with the full eps.
+  if (config.strategy == Strategy::kDpTimer ||
+      config.strategy == Strategy::kDpAnt) {
+    const std::vector<double>& slices = cache_.shard_eps();
+    shrinks_.reserve(slices.size());
+    for (size_t k = 0; k < slices.size(); ++k) {
+      IncShrinkConfig shard_cfg = config_;
+      shard_cfg.eps = slices[k];
+      shrinks_.emplace_back(cache_.shard_proto(k), shard_cfg);
     }
   }
   // Only the DP strategies fork-join over shards; EP/OTM materialize
   // serially and NM never touches the cache, so don't park idle workers.
-  if (cache_.num_shards() > 1 && (!timers_.empty() || !ants_.empty())) {
+  if (cache_.num_shards() > 1 && !shrinks_.empty()) {
     shard_pool_ = std::make_unique<ThreadPool>(static_cast<int>(
         std::min<size_t>(static_cast<size_t>(ResolveThreadCount(
                              config_.cache_shard_threads)),
@@ -265,60 +247,74 @@ Status Engine::BeginStep() {
 
 Status Engine::BeginStepImpl() {
   PendingStep& p = *pending_;
-  ++t_;
-  StepMetrics& m = p.m;
-  m.t = t_;
 
   // Drain queued owner frames: at most max_batches_per_step per channel, in
   // fixed owner order (a T1 frame, then its paired T2 frame — join views
   // drain the channels as pairs so the ground-truth counter sees aligned
-  // streams). Drained frames merge into one upload batch per relation, so
-  // Transform still sees exactly one batch per engine step; the drain count
-  // is a pure function of the queue depths and the config bound.
+  // streams). The drain count is a pure function of the queue depths and
+  // the config bound.
+  //
+  // A malformed or desynchronized peer must surface as a Status, never
+  // abort the server, and must not half-apply a step: every drained frame
+  // is decoded and validated before the clock, ground truth, stores or
+  // logs move. A step that drains a bad pair is rejected whole (its frames
+  // are dropped), so the next step runs exactly as if the pair had never
+  // arrived.
   const bool join_view = config_.view_kind != ViewKind::kFilter;
+  // Drained frames merge into one upload batch per relation, so Transform
+  // still sees exactly one batch per engine step. Their evaluation-only
+  // arrival sections are kept for the ground-truth replay below.
   SharedRows merged1(kSrcWidth);
   SharedRows merged2(kSrcWidth);
+  std::vector<std::vector<LogicalRecord>> arrivals1;
+  std::vector<std::vector<LogicalRecord>> arrivals2;
   for (uint32_t b = 0; b < config_.max_batches_per_step; ++b) {
     if (join_view && channel2_.empty()) break;  // wait for the full pair
     std::vector<uint8_t> raw1;
+    std::vector<uint8_t> raw2;
     if (!channel1_.TryPop(&raw1)) break;
-    INCSHRINK_ASSIGN_OR_RETURN(const UploadFrame f1, DecodeUploadFrame(raw1));
-    // A malformed peer must surface as a Status, never abort the server:
-    // validate the decoded width before AppendAll's internal CHECK sees it.
+    if (join_view) INCSHRINK_CHECK(channel2_.TryPop(&raw2));
+    INCSHRINK_ASSIGN_OR_RETURN(UploadFrame f1, DecodeUploadFrame(raw1));
+    // Validate the decoded width before AppendAll's internal CHECK sees it.
     if (f1.batch.width() != kSrcWidth) {
       return Status::InvalidArgument("upload frame has wrong row width");
     }
-    // Ground truth over the logical growing database, replayed from the
-    // frames' evaluation-only arrival sections in owner-step order. Under
-    // an owner lead the truth counter advances only as frames are drained:
-    // the engine's notion of q_t(D_t) is the synchronized prefix.
     if (join_view) {
-      std::vector<uint8_t> raw2;
-      INCSHRINK_CHECK(channel2_.TryPop(&raw2));
-      INCSHRINK_ASSIGN_OR_RETURN(const UploadFrame f2,
-                                 DecodeUploadFrame(raw2));
+      INCSHRINK_ASSIGN_OR_RETURN(UploadFrame f2, DecodeUploadFrame(raw2));
       if (f2.batch.width() != kSrcWidth) {
         return Status::InvalidArgument("upload frame has wrong row width");
       }
-      // A hostile or buggy peer can desynchronize the two owner streams;
-      // over a real wire that must surface as a Status, never abort the
-      // server (the transport's per-connection sequence stamps catch most
-      // of this earlier, but the engine is the last line of defense).
+      // The transport's per-connection sequence stamps catch most
+      // desynchronized owner streams earlier, but the engine is the last
+      // line of defense.
       if (f1.owner_step != f2.owner_step) {
         return Status::InvalidArgument(
             "paired upload frames disagree on owner step");
       }
-      truth_.Step(f1.arrivals, f2.arrivals);
       merged2.AppendAll(f2.batch);
+      arrivals2.push_back(std::move(f2.arrivals));
+    }
+    merged1.AppendAll(f1.batch);
+    arrivals1.push_back(std::move(f1.arrivals));
+  }
+
+  ++t_;
+  StepMetrics& m = p.m;
+  m.t = t_;
+  // Ground truth over the logical growing database, replayed in owner-step
+  // order. Under an owner lead it advances only as frames are drained: the
+  // engine's notion of q_t(D_t) is the synchronized prefix.
+  for (size_t i = 0; i < arrivals1.size(); ++i) {
+    if (join_view) {
+      truth_.Step(arrivals1[i], arrivals2[i]);
       ++frames_drained_;
     } else {
-      for (const LogicalRecord& rec : f1.arrivals) {
+      for (const LogicalRecord& rec : arrivals1[i]) {
         if (rec.payload >= config_.filter.lo &&
             rec.payload <= config_.filter.hi)
           ++filter_truth_;
       }
     }
-    merged1.AppendAll(f1.batch);
     ++frames_drained_;
   }
   m.true_count = join_view ? truth_.count() : filter_truth_;
@@ -368,16 +364,12 @@ Status Engine::BeginStepImpl() {
       p.plans.resize(num);
       p.staged_sync.resize(num);
       ForEachShard([&](size_t k) {
-        SecureCache* shard = &cache_.shard(k);
-        p.plans[k] = !timers_.empty() ? timers_[k]->Plan(t_, shard)
-                                      : ants_[k]->Plan(t_, shard);
+        p.plans[k] = shrinks_[k].Plan(t_, &cache_.shard(k));
       });
       for (size_t k = 0; k < num; ++k) {
         if (p.plans[k].fired) {
-          p.jobs.push_back(SortJob{cache_.shard_proto(k),
-                                   cache_.shard(k).rows(), kViewSortKeyCol,
-                                   0, /*lex=*/false, /*ascending=*/false,
-                                   config_.sort_algorithm});
+          p.jobs.push_back(SyncSortJob(cache_.shard_proto(k),
+                                       &cache_.shard(k), config_));
         }
       }
       break;
@@ -425,12 +417,8 @@ Status Engine::FinishStep() {
         syncs[k] = p.plans[k].early;
         return;
       }
-      SecureCache* shard = &cache_.shard(k);
-      syncs[k] = !timers_.empty()
-                     ? timers_[k]->Commit(p.plans[k], shard,
-                                          &p.staged_sync[k])
-                     : ants_[k]->Commit(p.plans[k], shard,
-                                        &p.staged_sync[k]);
+      syncs[k] = shrinks_[k].Commit(p.plans[k], &cache_.shard(k),
+                                    &p.staged_sync[k]);
     });
 
     // Flush phase: public schedule, so one multi-job submission sorts every
@@ -465,7 +453,7 @@ Status Engine::FinishStep() {
                            batch_exec());
       }
       ForEachShard([&](size_t k) {
-        flushes[k] = CommitFlush(cache_.shard_proto(k), shard_configs_[k],
+        flushes[k] = CommitFlush(cache_.shard_proto(k), config_,
                                  &cache_.shard(k), &staged_flush[k],
                                  before[k]);
       });
@@ -681,9 +669,9 @@ Result<std::vector<uint8_t>> Engine::SaveCheckpoint() {
   w.EndSection();
 
   w.BeginSection(kTagTheta);
-  w.U64(ants_.size());
-  for (const std::unique_ptr<ShrinkAnt>& ant : ants_) {
-    w.WriteWordShares(ant->shared_theta());
+  w.U64(ant_shards());
+  for (size_t k = 0; k < ant_shards(); ++k) {
+    w.WriteWordShares(shrinks_[k].shared_theta());
   }
   w.EndSection();
 
@@ -832,7 +820,7 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
   }
   r.EndSection();
   INCSHRINK_RETURN_NOT_OK(r.ExpectOk("ANT thresholds"));
-  if (theta_count != ants_.size()) {
+  if (theta_count != ant_shards()) {
     return Status::InvalidArgument(
         "snapshot strategy state disagrees with this engine's strategy");
   }
@@ -945,8 +933,8 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
       cache_.shard_proto(k)->RestoreStats(shard_stats[k]);
     }
   }
-  for (size_t k = 0; k < ants_.size(); ++k) {
-    ants_[k]->RestoreTheta(thetas[k]);
+  for (size_t k = 0; k < thetas.size(); ++k) {
+    shrinks_[k].RestoreTheta(thetas[k]);
   }
   view_.RestoreRows(std::move(view_rows));
   truth_ = std::move(truth);

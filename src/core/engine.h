@@ -228,6 +228,12 @@ class Engine {
   /// Body of BeginStep (wrapped so error returns reset the pending state).
   Status BeginStepImpl();
 
+  /// Shards whose Shrink keeps a noisy threshold (the snapshot's THTA
+  /// count): every shard under sDPANT, none otherwise.
+  size_t ant_shards() const {
+    return config_.strategy == Strategy::kDpAnt ? shrinks_.size() : 0;
+  }
+
   /// Job fan-out policy of this deployment's multi-shard sort and permute
   /// submissions.
   BatchExec batch_exec() {
@@ -246,12 +252,10 @@ class Engine {
   ShardedSecureCache cache_;
   MaterializedView view_;
   TransformProtocol transform_;
-  /// Per-shard Shrink instances (one entry per shard for the strategy in
-  /// use; both empty for EP/OTM/NM). Shard k steps on cache_.shard_proto(k)
-  /// with the eps slice baked into shard_configs_[k].
-  std::vector<std::unique_ptr<ShrinkTimer>> timers_;
-  std::vector<std::unique_ptr<ShrinkAnt>> ants_;
-  std::vector<IncShrinkConfig> shard_configs_;
+  /// Per-shard Shrink instances (one per shard for the DP strategies,
+  /// empty for EP/OTM/NM). Shard k steps on cache_.shard_proto(k) with its
+  /// eps slice, cache_.shard_eps()[k].
+  std::vector<Shrink> shrinks_;
   /// Fork-join pool for the per-shard Shrink phase; null when K == 1 (the
   /// unsharded engine never spawns a thread).
   std::unique_ptr<ThreadPool> shard_pool_;

@@ -62,16 +62,22 @@ MultiLevelPipeline::MultiLevelPipeline(const Config& config)
       accountant2_(stage2_cfg_.eps, stage2_cfg_.budget_b, stage2_cfg_.omega),
       transform1_(&proto_, stage1_cfg_, &accountant1_),
       transform2_(&proto_, stage2_cfg_, &accountant2_),
-      shrink1_(std::make_unique<ShrinkTimer>(&proto_, stage1_cfg_)),
-      shrink2_(std::make_unique<ShrinkTimer>(&proto_, stage2_cfg_)),
+      shrink1_(&proto_, stage1_cfg_),
+      shrink2_(&proto_, stage2_cfg_),
       store_t1_(kSrcWidth),
       store_v1_(kSrcWidth),
       store_t2_(kSrcWidth),
-      cache1_(&proto_),
-      cache2_(&proto_),
+      cache1_(&proto_, 1, stage1_cfg_.eps, stage1_cfg_.budget_b,
+              stage1_cfg_.seed, config.cost_model),
+      cache2_(&proto_, 1, stage2_cfg_.eps, stage2_cfg_.budget_b,
+              stage2_cfg_.seed, config.cost_model),
       truth_(WindowJoinQuery{config.join.window_lo, config.join.window_hi,
                              config.join.use_window}),
-      owner_rng_(config.seed ^ 0xBEEF1234CAFE5678ull) {
+      owner_rng_(config.seed ^ 0xBEEF1234CAFE5678ull),
+      uploader1_(UploadPolicyConfig{}, config.upload_rows_t1,
+                 /*is_public=*/false, config.seed),
+      uploader2_(UploadPolicyConfig{}, config.upload_rows_t2,
+                 /*is_public=*/false, config.seed) {
   INCSHRINK_CHECK(stage1_cfg_.Validate().ok());
   INCSHRINK_CHECK(stage2_cfg_.Validate().ok());
 }
@@ -115,24 +121,10 @@ Status MultiLevelPipeline::Step(const std::vector<LogicalRecord>& new1,
   }
   m.true_count = truth_.Step(filtered, new2);
 
-  // Owner uploads (fixed-size policy for both streams).
-  auto upload = [&](const std::vector<LogicalRecord>& arrivals,
-                    std::vector<LogicalRecord>* overflow,
-                    OutsourcedTable* store, uint32_t rows) {
-    std::vector<LogicalRecord> pending = std::move(*overflow);
-    overflow->clear();
-    pending.insert(pending.end(), arrivals.begin(), arrivals.end());
-    SharedRows batch(kSrcWidth);
-    size_t i = 0;
-    for (; i < pending.size() && i < rows; ++i)
-      batch.AppendSecretRow(EncodeSourceRow(pending[i]), &owner_rng_);
-    while (batch.size() < rows)
-      batch.AppendSecretRow(MakeDummySourceRow(&owner_rng_), &owner_rng_);
-    overflow->assign(pending.begin() + i, pending.end());
-    store->AppendBatch(std::move(batch));
-  };
-  upload(new1, &overflow1_, &store_t1_, config_.upload_rows_t1);
-  upload(new2, &overflow2_, &store_t2_, config_.upload_rows_t2);
+  // Owner uploads (fixed-size policy for both streams; records beyond the
+  // batch size wait in the uploaders' queues).
+  store_t1_.AppendBatch(uploader1_.BuildBatch(t_, new1, &owner_rng_));
+  store_t2_.AppendBatch(uploader2_.BuildBatch(t_, new2, &owner_rng_));
 
   // ---- Stage 1: oblivious selection + DP shrink into V1. Its synchronized
   // rows form the (public-size) input stream of stage 2.
@@ -141,23 +133,12 @@ Status MultiLevelPipeline::Step(const std::vector<LogicalRecord>& new1,
       const TransformProtocol::StepResult tr1,
       transform1_.StepFilter(t_, store_t1_, &cache1_));
   (void)tr1;
-  const ShrinkResult sync1 = shrink1_->Step(t_, &cache1_, &view1_);
-  SharedRows stage2_input(kSrcWidth);
-  if (sync1.fired && sync1.sync_rows > 0) {
-    // The freshly synchronized block is both appended to V1 and re-encoded
-    // as stage-2 source rows.
-    const SharedRows& v1 = view1_.rows();
-    SharedRows synced(kViewWidth);
-    for (size_t r = v1.size() - sync1.sync_rows; r < v1.size(); ++r) {
-      synced.AppendSharedRow(
-          std::vector<Word>(v1.shares0().begin() + r * kViewWidth,
-                            v1.shares0().begin() + (r + 1) * kViewWidth),
-          std::vector<Word>(v1.shares1().begin() + r * kViewWidth,
-                            v1.shares1().begin() + (r + 1) * kViewWidth));
-    }
-    stage2_input = ViewRowsToSourceRows(synced);
-  }
-  store_v1_.AppendBatch(std::move(stage2_input));
+  MaterializedView synced;
+  shrink1_.Step(t_, &cache1_.shard(0), &synced);
+  // The freshly synchronized block is both appended to V1 and re-encoded
+  // as stage-2 source rows.
+  view1_.Append(synced.rows());
+  store_v1_.AppendBatch(ViewRowsToSourceRows(synced.rows()));
   m.transform_seconds = proto_.SimulatedSecondsSince(before1);
 
   // ---- Stage 2: truncated join of the stage-1 output stream against T2.
@@ -166,7 +147,7 @@ Status MultiLevelPipeline::Step(const std::vector<LogicalRecord>& new1,
       const TransformProtocol::StepResult tr2,
       transform2_.Step(t_, store_v1_, store_t2_, &cache2_));
   (void)tr2;
-  const ShrinkResult sync2 = shrink2_->Step(t_, &cache2_, &view2_);
+  const ShrinkResult sync2 = shrink2_.Step(t_, &cache2_.shard(0), &view2_);
   m.shrink_seconds = proto_.SimulatedSecondsSince(before2);
   m.synced = sync2.fired;
   m.sync_rows = sync2.sync_rows;

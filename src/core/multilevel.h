@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/config.h"
 #include "src/core/metrics.h"
 #include "src/core/shrink.h"
 #include "src/core/transform.h"
+#include "src/core/upload_policy.h"
 #include "src/dp/accountant.h"
 #include "src/mpc/party.h"
 #include "src/mpc/protocol.h"
@@ -15,7 +15,7 @@
 #include "src/relational/query.h"
 #include "src/storage/materialized_view.h"
 #include "src/storage/outsourced_store.h"
-#include "src/storage/secure_cache.h"
+#include "src/storage/sharded_cache.h"
 
 namespace incshrink {
 
@@ -35,6 +35,11 @@ namespace incshrink {
 /// The per-stage budgets eps1/eps2 are exactly the knobs the Appendix-D.2
 /// allocation optimizer tunes: a starving stage floods its successor with
 /// dummy rows, degrading end-to-end efficiency but not correctness.
+///
+/// Both stages share one protocol instance (and so one noise stream); each
+/// stage's cache is an unsharded ShardedSecureCache and its Shrink the
+/// engine's Shrink protocol. The two owners upload fixed-size padded
+/// batches through OwnerUploader, drawing shares from one owner stream.
 class MultiLevelPipeline {
  public:
   struct Config {
@@ -84,21 +89,21 @@ class MultiLevelPipeline {
   PrivacyAccountant accountant2_;
   TransformProtocol transform1_;
   TransformProtocol transform2_;
-  std::unique_ptr<ShrinkTimer> shrink1_;
-  std::unique_ptr<ShrinkTimer> shrink2_;
+  Shrink shrink1_;
+  Shrink shrink2_;
 
   OutsourcedTable store_t1_;  ///< raw T1 uploads
   OutsourcedTable store_v1_;  ///< stage-1 outputs, re-encoded as sources
   OutsourcedTable store_t2_;  ///< raw T2 uploads
-  SecureCache cache1_;
-  SecureCache cache2_;
+  ShardedSecureCache cache1_;
+  ShardedSecureCache cache2_;
   MaterializedView view1_;
   MaterializedView view2_;
 
   WindowJoinCounter truth_;
-  Rng owner_rng_;
-  std::vector<LogicalRecord> overflow1_;
-  std::vector<LogicalRecord> overflow2_;
+  Rng owner_rng_;  ///< share randomness of both owners, T1 drawn first
+  OwnerUploader uploader1_;
+  OwnerUploader uploader2_;
   uint64_t t_ = 0;
   std::vector<StepMetrics> metrics_;
 };

@@ -1,35 +1,17 @@
 #include "src/core/shrink.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/common/logging.h"
 #include "src/dp/laplace.h"
 #include "src/oblivious/cache_ops.h"
 #include "src/oblivious/formats.h"
-#include "src/oblivious/shuffle.h"
-#include "src/oblivious/sort.h"
 
 namespace incshrink {
 
 namespace {
 constexpr double kFpOffset = 1048576.0;  // 2^20
 constexpr double kFpScale = 1024.0;      // 2^10
-
-/// The sync-path cache sort under the configured execution policy: the
-/// fetched prefix must be in real-first FIFO order either way, so the
-/// shuffle tier runs the full shuffle-then-sort here (unlike flushes,
-/// which keep only a random permutation).
-void SortCacheForSync(Protocol2PC* proto, const IncShrinkConfig& config,
-                      SecureCache* cache) {
-  if (config.sort_algorithm == SortAlgorithm::kShuffleSort) {
-    ObliviousShuffleSort(proto, cache->rows(), kViewSortKeyCol,
-                         /*ascending=*/false);
-  } else {
-    ObliviousSort(proto, cache->rows(), kViewSortKeyCol,
-                  /*ascending=*/false);
-  }
-}
 }  // namespace
 
 Word EncodeThresholdFixedPoint(double x) {
@@ -43,128 +25,94 @@ double DecodeThresholdFixedPoint(Word enc) {
   return static_cast<double>(enc) / kFpScale - kFpOffset;
 }
 
-// ---------------------------------------------------------------------------
-// sDPTimer
-// ---------------------------------------------------------------------------
-
-ShrinkTimer::ShrinkTimer(Protocol2PC* proto, const IncShrinkConfig& config)
-    : proto_(proto), config_(config),
-      scale_(static_cast<double>(config.budget_b) / config.eps) {}
-
-ShrinkPlan ShrinkTimer::Plan(uint64_t t, SecureCache* cache) {
-  ShrinkPlan plan;
-  if (config_.timer_T == 0 || t % config_.timer_T != 0) return plan;
-  plan.before = proto_->Snapshot();
-
-  // Alg. 2 lines 3-6: recover c internally, distort with joint noise.
-  const uint32_t c = cache->RecoverCounterInside(proto_);
-  const double noise = proto_->JointLaplace(scale_);
-  plan.released_size =
-      ClampRoundNonNegative(static_cast<double>(c) + noise);
-  plan.fired = true;
-  return plan;
+SortJob SyncSortJob(Protocol2PC* proto, SecureCache* cache,
+                    const IncShrinkConfig& config) {
+  return SortJob{proto,         cache->rows(),         kViewSortKeyCol, 0,
+                 /*lex=*/false, /*ascending=*/false, config.sort_algorithm};
 }
 
-ShrinkResult ShrinkTimer::Commit(const ShrinkPlan& plan, SecureCache* cache,
-                                 MaterializedView* view) {
-  INCSHRINK_CHECK(plan.fired);
-  ShrinkResult result;
-
-  // Alg. 2 lines 7-8: prefix fetch from the sorted cache, view append.
-  result.released_size = plan.released_size;
-  SharedRows fetched =
-      TakeSortedPrefix(proto_, cache->rows(), plan.released_size);
-  result.sync_rows = fetched.size();
-  view->Append(fetched);
-
-  // Alg. 2 line 9: reset and re-share the counter.
-  cache->ResetCounter(proto_);
-
-  result.fired = true;
-  result.simulated_seconds = proto_->SimulatedSecondsSince(plan.before);
-  return result;
+Shrink::Shrink(Protocol2PC* proto, const IncShrinkConfig& config)
+    : proto_(proto), config_(config) {
+  INCSHRINK_CHECK(config.strategy == Strategy::kDpTimer || ant());
+  if (ant()) {
+    // The placeholder sharing is drawn before the first threshold so the
+    // protocol stream matches every recorded run.
+    shared_theta_ = proto->FreshShare(0);
+    RefreshThreshold();
+  }
 }
 
-ShrinkResult ShrinkTimer::Step(uint64_t t, SecureCache* cache,
-                               MaterializedView* view) {
-  ShrinkPlan plan = Plan(t, cache);
-  // oblivious-ok: timer fire decision is a public function of the step
-  // counter and timer_T (Alg. 2 line 2) — never of cache contents
-  if (!plan.fired) return plan.early;
-  SortCacheForSync(proto_, config_, cache);
-  return Commit(plan, cache, view);
-}
-
-// ---------------------------------------------------------------------------
-// sDPANT
-// ---------------------------------------------------------------------------
-
-ShrinkAnt::ShrinkAnt(Protocol2PC* proto, const IncShrinkConfig& config)
-    : proto_(proto), config_(config), eps1_(config.eps / 2),
-      eps2_(config.eps / 2), shared_theta_(proto->FreshShare(0)) {
-  RefreshThreshold();
-}
-
-void ShrinkAnt::RefreshThreshold() {
+void Shrink::RefreshThreshold() {
   // theta~ = theta + Lap(2b/eps1), secret-shared across the servers
-  // (Alg. 3 lines 2-3 / 11-12).
+  // (Alg. 3 lines 2-3 / 11-12), with eps1 = eps/2.
   const double noise =
-      proto_->JointLaplace(2.0 * config_.budget_b / eps1_);
+      proto_->JointLaplace(2.0 * config_.budget_b / (config_.eps / 2));
   const Word enc = EncodeThresholdFixedPoint(config_.ant_theta + noise);
   shared_theta_ = proto_->FreshShare(enc);
 }
 
-double ShrinkAnt::noisy_threshold_inside() const {
-  return DecodeThresholdFixedPoint(
-      proto_->RecoverInside(shared_theta_));
+double Shrink::noisy_threshold_inside() const {
+  return DecodeThresholdFixedPoint(proto_->RecoverInside(shared_theta_));
 }
 
-ShrinkPlan ShrinkAnt::Plan(uint64_t t, SecureCache* cache) {
-  (void)t;
+ShrinkPlan Shrink::Plan(uint64_t t, SecureCache* cache) {
   ShrinkPlan plan;
-  plan.before = proto_->Snapshot();
-
-  // Alg. 3 lines 5-7: recover c and theta~ internally, distort c, compare.
-  const uint32_t c = cache->RecoverCounterInside(proto_);
-  const double theta = noisy_threshold_inside();
-  const double c_noisy =
-      static_cast<double>(c) +
-      proto_->JointLaplace(4.0 * config_.budget_b / eps1_);
-  proto_->AccountAndGates(kWordBits);  // in-circuit threshold comparison
-  // oblivious-ok: above-noisy-threshold test (Alg. 3 lines 5-7) — both
-  // operands carry fresh Laplace noise, so the comparison outcome is the
-  // eps1-budgeted DP release the SVT analysis pays for; publishing the
-  // fire/no-fire bit is the mechanism's sanctioned output
-  if (c_noisy < theta) {
-    plan.early.simulated_seconds =
-        proto_->SimulatedSecondsSince(plan.before);
+  // Alg. 2 line 2: the timer check is a public function of the clock.
+  if (!ant() && (config_.timer_T == 0 || t % config_.timer_T != 0)) {
     return plan;
   }
+  plan.before = proto_->Snapshot();
 
-  // Alg. 3 lines 8-10: sz = c + Lap(b/eps2). A Laplace release at scale
-  // b/eps2 is eps2-DP for the b-sensitive counter, so the eps1 + eps2 = eps
-  // split of line 1 composes exactly. (Algorithm 5 / M_ant use the more
-  // conservative 2b/eps2; that variant only strengthens the guarantee.)
-  const double noise =
-      proto_->JointLaplace(static_cast<double>(config_.budget_b) / eps2_);
-  plan.released_size =
-      ClampRoundNonNegative(static_cast<double>(c) + noise);
+  // Alg. 2 line 3 / Alg. 3 line 5: recover c internally.
+  const uint32_t c = cache->RecoverCounterInside(proto_);
+  const double b = static_cast<double>(config_.budget_b);
+  double release_scale = b / config_.eps;
+  if (ant()) {
+    // Alg. 3 lines 5-7: recover theta~ internally, distort c, compare.
+    const double eps1 = config_.eps / 2;
+    const double theta = noisy_threshold_inside();
+    const double c_noisy =
+        static_cast<double>(c) + proto_->JointLaplace(4.0 * b / eps1);
+    proto_->AccountAndGates(kWordBits);  // in-circuit threshold comparison
+    // oblivious-ok: above-noisy-threshold test (Alg. 3 lines 5-7) — both
+    // operands carry fresh Laplace noise, so the comparison outcome is the
+    // eps1-budgeted DP release the SVT analysis pays for; publishing the
+    // fire/no-fire bit is the mechanism's sanctioned output
+    if (c_noisy < theta) {
+      plan.early.simulated_seconds =
+          proto_->SimulatedSecondsSince(plan.before);
+      return plan;
+    }
+    // Alg. 3 line 8: a Laplace release at scale b/eps2 (eps2 = eps/2) is
+    // eps2-DP for the b-sensitive counter, so the eps1 + eps2 = eps split
+    // of line 1 composes exactly. (Algorithm 5 / M_ant use the more
+    // conservative 2b/eps2; that variant only strengthens the guarantee.)
+    release_scale = b / (config_.eps / 2);
+  }
+
+  // Alg. 2 lines 4-6 / Alg. 3 line 8: distort c with joint noise.
+  const double noise = proto_->JointLaplace(release_scale);
+  plan.released_size = ClampRoundNonNegative(static_cast<double>(c) + noise);
   plan.fired = true;
   return plan;
 }
 
-ShrinkResult ShrinkAnt::Commit(const ShrinkPlan& plan, SecureCache* cache,
-                               MaterializedView* view) {
+ShrinkResult Shrink::Commit(const ShrinkPlan& plan, SecureCache* cache,
+                            MaterializedView* view) {
   INCSHRINK_CHECK(plan.fired);
   ShrinkResult result;
+
+  // Alg. 2 lines 7-8 / Alg. 3 lines 9-10: prefix fetch from the sorted
+  // cache, view append.
   result.released_size = plan.released_size;
   SharedRows fetched =
       TakeSortedPrefix(proto_, cache->rows(), plan.released_size);
   result.sync_rows = fetched.size();
   view->Append(fetched);
 
-  // Alg. 3 lines 11-13: fresh threshold, reset counter.
-  RefreshThreshold();
+  // Alg. 3 lines 11-12: fresh threshold (sDPANT only).
+  if (ant()) RefreshThreshold();
+  // Alg. 2 line 9 / Alg. 3 line 13: reset and re-share the counter.
   cache->ResetCounter(proto_);
 
   result.fired = true;
@@ -172,13 +120,15 @@ ShrinkResult ShrinkAnt::Commit(const ShrinkPlan& plan, SecureCache* cache,
   return result;
 }
 
-ShrinkResult ShrinkAnt::Step(uint64_t t, SecureCache* cache,
-                             MaterializedView* view) {
+ShrinkResult Shrink::Step(uint64_t t, SecureCache* cache,
+                          MaterializedView* view) {
   ShrinkPlan plan = Plan(t, cache);
-  // oblivious-ok: ANT fire decision is the DP-released SVT outcome (see the
-  // noisy-threshold comparison in Plan) — public by the eps1 budget charge
+  // oblivious-ok: the fire decision is public — sDPTimer's is a function of
+  // the step counter and timer_T (Alg. 2 line 2), sDPANT's the DP-released
+  // SVT outcome of the noisy-threshold comparison in Plan
   if (!plan.fired) return plan.early;
-  SortCacheForSync(proto_, config_, cache);
+  SortJob job = SyncSortJob(proto_, cache, config_);
+  ObliviousSortBatch(&job, 1);
   return Commit(plan, cache, view);
 }
 
@@ -207,23 +157,6 @@ ShrinkResult CommitFlush(Protocol2PC* proto, const IncShrinkConfig& config,
   result.fired = true;
   result.simulated_seconds = proto->SimulatedSecondsSince(before);
   return result;
-}
-
-ShrinkResult MaybeFlushCache(Protocol2PC* proto,
-                             const IncShrinkConfig& config, uint64_t t,
-                             SecureCache* cache, MaterializedView* view) {
-  if (!FlushDue(config, t)) return ShrinkResult{};
-  const CircuitStats before = proto->Snapshot();
-  if (config.sort_algorithm == SortAlgorithm::kShuffleSort) {
-    // Flush tier: the prefix cut is public-size and the suffix is recycled,
-    // so any secret permutation works — one Waksman shuffle replaces the
-    // whole sorting network (~3.7x fewer AND gates at n = 4096).
-    ObliviousRandomPermute(proto, cache->rows());
-  } else {
-    ObliviousSort(proto, cache->rows(), kViewSortKeyCol,
-                  /*ascending=*/false);
-  }
-  return CommitFlush(proto, config, cache, view, before);
 }
 
 }  // namespace incshrink

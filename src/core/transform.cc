@@ -63,25 +63,7 @@ Status TransformProtocol::ChargeBatch(const SharedRows& batch,
 }
 
 Result<TransformProtocol::StepResult> TransformProtocol::StepFilter(
-    uint64_t t, const OutsourcedTable& store1, SecureCache* cache) {
-  return StepFilterImpl(t, store1, cache->seq(),
-                        [this, cache](const SharedRows& block, uint32_t real) {
-                          cache->AddToCounter(proto_, real);
-                          cache->Append(block);
-                        });
-}
-
-Result<TransformProtocol::StepResult> TransformProtocol::StepFilter(
     uint64_t t, const OutsourcedTable& store1, ShardedSecureCache* cache) {
-  return StepFilterImpl(t, store1, cache->seq(),
-                        [this, cache](const SharedRows& block, uint32_t real) {
-                          cache->AppendTransformBlock(proto_, block, real);
-                        });
-}
-
-Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
-    uint64_t t, const OutsourcedTable& store1, uint64_t* seq,
-    const CommitFn& commit) {
   INCSHRINK_CHECK_GE(t, 1u);
   INCSHRINK_CHECK_EQ(store1.steps(), t);
   const CircuitStats before = proto_->Snapshot();
@@ -95,6 +77,7 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
   proto_->AccountAndGates(batch.size() *
                           (2 * kWordBits + 1 + kViewWidth * kWordBits));
   Rng* rng = proto_->internal_rng();
+  uint64_t* seq = cache->seq();
   SharedRows out(kViewWidth);
   uint32_t real_entries = 0;
   for (size_t r = 0; r < batch.size(); ++r) {
@@ -126,7 +109,7 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
   }
 
   const uint64_t appended = out.size();
-  commit(out, real_entries);
+  cache->AppendTransformBlock(proto_, out, real_entries);
 
   StepResult result;
   result.real_entries = real_entries;
@@ -137,37 +120,22 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
 
 Result<TransformProtocol::StepResult> TransformProtocol::Step(
     uint64_t t, const OutsourcedTable& store1, const OutsourcedTable& store2,
-    SecureCache* cache) {
-  if (config_.view_kind == ViewKind::kFilter) {
-    return StepFilter(t, store1, cache);
-  }
-  return StepJoin(t, store1, store2, cache->seq(),
-                  [this, cache](const SharedRows& block, uint32_t real) {
-                    cache->AddToCounter(proto_, real);
-                    cache->Append(block);
-                  });
-}
-
-Result<TransformProtocol::StepResult> TransformProtocol::Step(
-    uint64_t t, const OutsourcedTable& store1, const OutsourcedTable& store2,
     ShardedSecureCache* cache) {
   if (config_.view_kind == ViewKind::kFilter) {
     return StepFilter(t, store1, cache);
   }
-  return StepJoin(t, store1, store2, cache->seq(),
-                  [this, cache](const SharedRows& block, uint32_t real) {
-                    cache->AppendTransformBlock(proto_, block, real);
-                  });
+  return StepJoin(t, store1, store2, cache);
 }
 
 Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
     uint64_t t, const OutsourcedTable& store1, const OutsourcedTable& store2,
-    uint64_t* seq, const CommitFn& commit) {
+    ShardedSecureCache* cache) {
   INCSHRINK_CHECK_GE(t, 1u);
   INCSHRINK_CHECK_EQ(store1.steps(), t);
   INCSHRINK_CHECK_EQ(store2.steps(), t);
   const CircuitStats before = proto_->Snapshot();
 
+  uint64_t* seq = cache->seq();
   const uint64_t wlen = std::min<uint64_t>(EligibleSteps(config_), t - 1);
   const uint64_t step_idx = t - 1;  // stores are 0-indexed by step
 
@@ -300,8 +268,9 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
   }
   INCSHRINK_CHECK_LE(real_entries, bound);
   SharedRows compacted(kViewWidth);
-  if (!config_.compact_transform_output) {
-    // EP baseline: cache the raw exhaustively padded operator outputs.
+  if (config_.strategy == Strategy::kEp) {
+    // EP's defining behaviour: cache the raw exhaustively padded operator
+    // outputs verbatim (no oblivious compaction).
     compacted = std::move(padded);
   } else if (padded.size() > bound) {
     ObliviousSort(proto_, &padded, kViewSortKeyCol, /*ascending=*/false);
@@ -328,7 +297,7 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
 
   // Alg. 1 lines 4-7: update the shared counter, append to the cache.
   const uint64_t appended = compacted.size();
-  commit(compacted, real_entries);
+  cache->AppendTransformBlock(proto_, compacted, real_entries);
 
   StepResult result;
   result.real_entries = real_entries;

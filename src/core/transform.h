@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_set>
 
 #include "src/common/result.h"
@@ -10,7 +9,6 @@
 #include "src/mpc/protocol.h"
 #include "src/oblivious/join.h"
 #include "src/storage/outsourced_store.h"
-#include "src/storage/secure_cache.h"
 #include "src/storage/sharded_cache.h"
 
 namespace incshrink {
@@ -48,12 +46,10 @@ class TransformProtocol {
   /// t must already be present in both stores). Charges contribution budgets
   /// and returns Status::PrivacyBudgetExhausted on ledger violations.
   /// Dispatches on the configured view kind (windowed join or selection).
-  Result<StepResult> Step(uint64_t t, const OutsourcedTable& store1,
-                          const OutsourcedTable& store2, SecureCache* cache);
-
-  /// Sharded variant: same computation, but the DeltaV block is committed
-  /// through ShardedSecureCache::AppendTransformBlock, which routes rows to
-  /// shards by the public append-index map and splits the counter update.
+  /// The DeltaV block is committed through
+  /// ShardedSecureCache::AppendTransformBlock, which routes rows to shards
+  /// by the public append-index map and splits the counter update (K = 1 is
+  /// a plain append to the single cache).
   Result<StepResult> Step(uint64_t t, const OutsourcedTable& store1,
                           const OutsourcedTable& store2,
                           ShardedSecureCache* cache);
@@ -61,10 +57,6 @@ class TransformProtocol {
   /// Selection-view invocation (Appendix A.1.1): converts the step's T1
   /// batch into view rows whose isView bit encodes the predicate, an
   /// inherently 1-stable transformation. Output size == batch size.
-  Result<StepResult> StepFilter(uint64_t t, const OutsourcedTable& store1,
-                                SecureCache* cache);
-
-  /// Sharded selection-view invocation.
   Result<StepResult> StepFilter(uint64_t t, const OutsourcedTable& store1,
                                 ShardedSecureCache* cache);
 
@@ -83,20 +75,10 @@ class TransformProtocol {
   uint32_t StabilityBound() const { return config_.budget_b; }
 
  private:
-  /// Commit hook: receives the finished DeltaV block and its in-protocol
-  /// real-entry count; the unsharded path appends to one SecureCache, the
-  /// sharded path routes per shard. Runs exactly once per invocation,
-  /// before the invocation's simulated time is metered.
-  using CommitFn = std::function<void(const SharedRows&, uint32_t)>;
-
-  /// The windowed-join invocation body shared by both cache layouts.
+  /// The windowed-join invocation body.
   Result<StepResult> StepJoin(uint64_t t, const OutsourcedTable& store1,
-                              const OutsourcedTable& store2, uint64_t* seq,
-                              const CommitFn& commit);
-
-  /// The selection invocation body shared by both cache layouts.
-  Result<StepResult> StepFilterImpl(uint64_t t, const OutsourcedTable& store1,
-                                    uint64_t* seq, const CommitFn& commit);
+                              const OutsourcedTable& store2,
+                              ShardedSecureCache* cache);
 
   /// Charges omega to every real record of `batch` (Alg. 1 participation
   /// accounting), collecting charged rids into `charged`; returns error when

@@ -13,9 +13,9 @@ namespace incshrink {
 /// threshold, then release a noisy value and refresh the threshold. Each
 /// fire + release consumes (eps1 + eps2) where eps1 = eps2 = eps/2.
 ///
-/// The secure protocol (`ShrinkAnt`) reproduces this logic with jointly
-/// generated noise; this class backs the leakage-profile mechanism `M_ant`
-/// and the statistical tests.
+/// The secure protocol (`Shrink` under sDPANT) reproduces this logic with
+/// jointly generated noise; this class backs the leakage-profile mechanism
+/// `M_ant` and the statistical tests.
 class NumericAboveNoisyThreshold {
  public:
   /// \param eps total privacy parameter per release cycle

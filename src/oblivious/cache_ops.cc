@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/oblivious/formats.h"
-#include "src/oblivious/shuffle.h"
 #include "src/oblivious/sort.h"
 
 namespace incshrink {
@@ -14,15 +13,6 @@ SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
   // dummies to the tail; then cut off the first `read_size` elements.
   ObliviousSort(proto, cache, kViewSortKeyCol, /*ascending=*/false);
   return TakeSortedPrefix(proto, cache, read_size);
-}
-
-SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
-                              size_t read_size, SortAlgorithm algorithm) {
-  if (algorithm == SortAlgorithm::kShuffleSort) {
-    ObliviousShuffleSort(proto, cache, kViewSortKeyCol, /*ascending=*/false);
-    return TakeSortedPrefix(proto, cache, read_size);
-  }
-  return ObliviousCacheRead(proto, cache, read_size);
 }
 
 SharedRows TakeSortedPrefix(Protocol2PC* proto, SharedRows* cache,
@@ -38,18 +28,6 @@ SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
                       size_t flush_size) {
   ObliviousSort(proto, cache, kViewSortKeyCol, /*ascending=*/false);
   return TakeFlushPrefix(proto, cache, flush_size);
-}
-
-SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
-                      size_t flush_size, SortAlgorithm algorithm) {
-  if (algorithm == SortAlgorithm::kShuffleSort) {
-    // Any secret permutation suffices here: the cut is public-size and a
-    // flush recycles (drops) the suffix anyway, so full key order buys
-    // nothing. One Waksman shuffle replaces the whole sorting network.
-    ObliviousRandomPermute(proto, cache);
-    return TakeFlushPrefix(proto, cache, flush_size);
-  }
-  return CacheFlush(proto, cache, flush_size);
 }
 
 SharedRows TakeFlushPrefix(Protocol2PC* proto, SharedRows* cache,

@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "src/mpc/protocol.h"
-#include "src/oblivious/sort.h"
 #include "src/secret/shared_rows.h"
 
 namespace incshrink {
@@ -22,13 +21,6 @@ namespace incshrink {
 SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
                               size_t read_size);
 
-/// Policy-dispatching variant: kBatcher runs the odd-even merge network,
-/// kShuffleSort the Waksman shuffle-then-sort path (same key order, tie
-/// placement re-randomized by the seeded shuffle). The prefix cut is
-/// identical either way.
-SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
-                              size_t read_size, SortAlgorithm algorithm);
-
 /// Post-sort half of ObliviousCacheRead, split out so the sort itself can
 /// run as one job of a multi-shard submission:
 /// charges the share-transfer cost and cuts the public-size prefix. The
@@ -43,17 +35,12 @@ SharedRows TakeSortedPrefix(Protocol2PC* proto, SharedRows* cache,
 SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
                       size_t flush_size);
 
-/// Policy-dispatching variant. Under kShuffleSort the flush drops the sort
-/// entirely: a flush only needs *some* secret permutation (the prefix cut
-/// is public-size, and recycling is lossy by design), so a single random
-/// Waksman shuffle — ~2x fewer AND gates than even the shuffle-sort path,
-/// ~3.7x fewer than Batcher at n = 4096 — randomizes which rows are
-/// fetched versus recycled. Under kBatcher this is CacheFlush exactly.
-SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
-                      size_t flush_size, SortAlgorithm algorithm);
-
 /// Post-sort half of CacheFlush (fetch the fixed prefix, recycle the rest),
-/// for flush sorts executed through a multi-shard submission.
+/// for flush sorts executed through a multi-shard submission. Under
+/// `sort_algorithm = shuffle_sort` the engine's flush replaces the sort
+/// with one random Waksman shuffle (ObliviousRandomPermute): the prefix cut
+/// is public-size and recycling is lossy by design, so any secret
+/// permutation randomizes which rows are fetched versus recycled.
 SharedRows TakeFlushPrefix(Protocol2PC* proto, SharedRows* cache,
                            size_t flush_size);
 

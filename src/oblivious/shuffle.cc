@@ -232,11 +232,9 @@ void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm) {
   INCSHRINK_CHECK_EQ(perm.size(), rows->size());
   if (rows->size() < 2) return;
-  ShuffleLayerCursor cursor(perm);
-  std::vector<ProgrammedSwitch> layer;
   std::vector<RowPair> pairs;
   std::vector<WordShares> bits;
-  while (cursor.Next(&layer)) {
+  for (const std::vector<ProgrammedSwitch>& layer : WaksmanNetwork(perm)) {
     if (layer.empty()) continue;
     pairs.clear();
     bits.clear();
@@ -250,14 +248,6 @@ void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
     }
     proto->MuxRowsBatch(rows, pairs.data(), bits.data(), pairs.size());
   }
-}
-
-void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
-                           const BatchExec& exec) {
-  exec.RunJobs(jobs, num_jobs, [](const ShuffleJob& job) {
-    INCSHRINK_CHECK(job.perm != nullptr);
-    ObliviousShuffle(job.proto, job.rows, *job.perm);
-  });
 }
 
 void ObliviousRandomPermuteBatch(PermuteJob* jobs, size_t num_jobs,

@@ -25,10 +25,10 @@ namespace incshrink {
 /// evaluating servers.
 ///
 /// Execution model mirrors src/oblivious/sort.cc: the network runs layer by
-/// layer (a `ShuffleLayerCursor`) on the calling thread, every layer's
-/// switches touch pairwise-disjoint rows, and each layer is one batched
-/// `MuxRowsBatch` submission — inline-draw site kernels in scalar site
-/// order, aggregate cost charged once per layer. The only parallelism is
+/// layer (the layers of `WaksmanNetwork(perm)`) on the calling thread,
+/// every layer's switches touch pairwise-disjoint rows, and each layer is
+/// one batched `MuxRowsBatch` submission — inline-draw site kernels in
+/// scalar site order, aggregate cost charged once per layer. The only parallelism is
 /// across the jobs of a multi-job submission (BatchExec), so output shares,
 /// the internal randomness stream and the aggregate circuit cost are
 /// bit-identical at any thread count (tests/shuffle_test.cc).
@@ -69,28 +69,6 @@ uint64_t ShuffleNetworkDepth(size_t n);
 /// layer property tests.
 std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n);
 
-/// Enumerates a programmed network one layer at a time, mirroring
-/// LayerCursor in src/oblivious/sort.cc: each `Next` yields one layer of
-/// disjoint switches, the unit submitted as one batched MuxRowsBatch call.
-class ShuffleLayerCursor {
- public:
-  explicit ShuffleLayerCursor(const std::vector<uint32_t>& perm)
-      : layers_(WaksmanNetwork(perm)) {}
-
-  /// Fills `out` with the next layer's switches; returns false when the
-  /// network is exhausted.
-  bool Next(std::vector<ProgrammedSwitch>* out) {
-    out->clear();
-    if (next_ >= layers_.size()) return false;
-    *out = layers_[next_++];
-    return true;
-  }
-
- private:
-  std::vector<std::vector<ProgrammedSwitch>> layers_;
-  size_t next_ = 0;
-};
-
 /// Draws a uniformly random public permutation of [0, n) from the
 /// protocol's internal stream — the *only* sanctioned control-bit entropy
 /// source for shuffles. Consumes exactly 2*(n-1) DrawReshareMasks words
@@ -105,22 +83,6 @@ std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n);
 /// the programmed Waksman network, one MuxRowsBatch submission per layer.
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm);
-
-/// One shuffle of a multi-shuffle submission. As with SortJob, jobs of one
-/// batch must run on pairwise-distinct protocol instances.
-struct ShuffleJob {
-  Protocol2PC* proto = nullptr;
-  SharedRows* rows = nullptr;
-  /// Permutation over rows->size() entries (not owned).
-  const std::vector<uint32_t>* perm = nullptr;
-};
-
-/// Multi-job shuffle submission (cross-shard / cross-tenant): runs every
-/// job's ObliviousShuffle whole and fans the jobs out over `exec` (see
-/// BatchExec::RunJobs). Bit-identical per job to its ObliviousShuffle run
-/// alone, at any thread count and any job mix.
-void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
-                           const BatchExec& exec = {});
 
 /// One recycle-tier permute job: the cache shard to re-randomize.
 struct PermuteJob {

@@ -32,8 +32,8 @@ namespace incshrink {
 /// jobs of a multi-job submission (BatchExec).
 
 /// Execution policy of the multi-job entry points (ObliviousSortBatch,
-/// ObliviousShuffleBatch, ObliviousRandomPermuteBatch): whether the jobs of
-/// one submission may run concurrently, one pool task per job. Purely a scheduling hint — every
+/// ObliviousRandomPermuteBatch): whether the jobs of one submission may run
+/// concurrently, one pool task per job. Purely a scheduling hint — every
 /// job runs whole on its own protocol, so results are bit-identical with
 /// any pool and any threshold.
 struct BatchExec {
@@ -85,8 +85,6 @@ enum class SortAlgorithm : uint8_t {
   kBatcher,
   kShuffleSort,
 };
-
-const char* SortAlgorithmName(SortAlgorithm a);
 
 /// Sorts `rows` in place by the 32-bit key in `key_col`.
 /// Ascending if `ascending`, else descending.

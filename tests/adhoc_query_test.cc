@@ -6,7 +6,7 @@
 //      ranges, and exact partition identities of the oblivious counts.
 //
 //   2. MultiLevelPipeline overflow handling — the owners' fixed-size upload
-//      batches buffer arrival bursts in overflow1_/overflow2_ and drain
+//      batches buffer arrival bursts in the owners' upload queues and drain
 //      them over subsequent steps; no logical record may be dropped.
 
 #include <gtest/gtest.h>
@@ -158,7 +158,7 @@ uint64_t CountRealRows(const MaterializedView& view) {
 
 TEST(MultiLevelOverflowTest, BurstOnT1DrainsWithoutRecordLoss) {
   // 6 filter-passing records arrive in step 1 against an upload capacity of
-  // 2 rows/step: 4 must queue in overflow1_ and drain over steps 2-3. With
+  // 2 rows/step: 4 must queue at the T1 owner and drain over steps 2-3. With
   // near-exact DP every one of them must eventually reach V1.
   MultiLevelPipeline pipeline(OverflowConfig());
   std::vector<LogicalRecord> burst;
@@ -193,7 +193,7 @@ TEST(MultiLevelOverflowTest, WithoutBurstSameRecordsArriveDirectly) {
 
 TEST(MultiLevelOverflowTest, BurstOnT2DrainsThroughJoin) {
   // T2-side burst: 2 allegations with 3 awards each (6 award records) hit
-  // the 2-row T2 capacity in one step, so 4 awards queue in overflow2_.
+  // the 2-row T2 capacity in one step, so 4 awards queue at the T2 owner.
   // The first upload batch carries only allegation #0's first two awards —
   // any view answer above 2 proves drained awards joined downstream.
   MultiLevelPipeline::Config cfg = OverflowConfig();
@@ -213,7 +213,7 @@ TEST(MultiLevelOverflowTest, BurstOnT2DrainsThroughJoin) {
   }
   const StepMetrics& last = pipeline.step_metrics().back();
   EXPECT_EQ(last.true_count, 6u);
-  EXPECT_GE(last.view_answer, 3u);  // > 2 is only reachable via overflow2_
+  EXPECT_GE(last.view_answer, 3u);  // > 2 is only reachable via the T2 owner's queue
   EXPECT_LE(last.view_answer, 6u);
 }
 

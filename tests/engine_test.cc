@@ -2,6 +2,8 @@
 
 #include "src/core/engine.h"
 #include "src/core/owner_client.h"
+#include "src/net/upload_channel.h"
+#include "src/storage/serialization.h"
 #include "src/workload/generators.h"
 
 namespace incshrink {
@@ -215,6 +217,137 @@ TEST(EngineTest, InvalidConfigRejected) {
   cfg.upload_channel_capacity = 0;
   EXPECT_FALSE(cfg.Validate().ok());
 }
+
+// ---------------------------------------------------------------------------
+// Rejected upload pairs
+// ---------------------------------------------------------------------------
+
+/// The wire frames the canonical owners of `cfg` emit for stream `s`.
+struct RecordedFrames {
+  std::vector<std::vector<uint8_t>> t1;
+  std::vector<std::vector<uint8_t>> t2;
+};
+
+RecordedFrames RecordOwnerFrames(const IncShrinkConfig& cfg,
+                                 const MiniStream& s) {
+  UploadChannel out1(s.t1.size());
+  UploadChannel out2(s.t2.size());
+  OwnerClient owner1 = MakeOwner1(cfg, &out1);
+  OwnerClient owner2 = MakeOwner2(cfg, &out2);
+  RecordedFrames frames;
+  for (size_t i = 0; i < s.t1.size(); ++i) {
+    EXPECT_TRUE(owner1.TryStep(s.t1[i]));
+    EXPECT_TRUE(owner2.TryStep(s.t2[i]));
+    std::vector<uint8_t> raw;
+    EXPECT_TRUE(out1.TryPop(&raw));
+    frames.t1.push_back(raw);
+    EXPECT_TRUE(out2.TryPop(&raw));
+    frames.t2.push_back(raw);
+  }
+  return frames;
+}
+
+enum class BadPair { kOwnerStepMismatch, kWrongRowWidth };
+
+/// A T2 frame that decodes but must be rejected when paired with the valid
+/// T1 frame of owner step 2.
+std::vector<uint8_t> BadT2Frame(BadPair kind, const RecordedFrames& frames) {
+  Result<UploadFrame> decoded = DecodeUploadFrame(frames.t2[1]);
+  EXPECT_TRUE(decoded.ok());
+  UploadFrame frame = std::move(decoded).value();
+  if (kind == BadPair::kOwnerStepMismatch) {
+    ++frame.owner_step;
+  } else {
+    Rng rng(5);
+    frame.batch = SharedRows(3);
+    frame.batch.AppendSecretRow({1, 2, 3}, &rng);
+  }
+  return EncodeUploadFrame(frame);
+}
+
+class RejectedPairTest : public ::testing::TestWithParam<BadPair> {};
+
+TEST_P(RejectedPairTest, LaterPairsStepAsIfTheBadPairNeverArrived) {
+  // Regression: the engine used to advance its clock before validating the
+  // drained frames, so a rejected pair left the stores one step behind and
+  // the next Step() aborted the server on Transform's store-size check.
+  for (const Strategy strategy : {Strategy::kDpTimer, Strategy::kDpAnt}) {
+    SCOPED_TRACE(StrategyName(strategy));
+    const IncShrinkConfig cfg = MiniConfig(strategy);
+    const MiniStream s = MakeMiniStream(12, 2, 2);
+    const RecordedFrames frames = RecordOwnerFrames(cfg, s);
+
+    Engine reference(cfg);
+    Engine victim(cfg);
+    for (size_t i = 0; i < frames.t1.size(); ++i) {
+      if (i == 1) {
+        ASSERT_TRUE(victim.channel1()->TryPush(frames.t1[1]));
+        ASSERT_TRUE(victim.channel2()->TryPush(BadT2Frame(GetParam(), frames)));
+        const Status st = victim.Step();
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+        // Rejected whole: the pair is consumed, nothing else moved.
+        EXPECT_EQ(victim.current_step(), 1u);
+        EXPECT_EQ(victim.frames_drained(), 2u);
+        EXPECT_EQ(victim.queue_depth(), 0u);
+        EXPECT_EQ(victim.store1().steps(), 1u);
+        EXPECT_EQ(victim.step_metrics().size(), 1u);
+      }
+      for (Engine* engine : {&reference, &victim}) {
+        ASSERT_TRUE(engine->channel1()->TryPush(frames.t1[i]));
+        ASSERT_TRUE(engine->channel2()->TryPush(frames.t2[i]));
+        ASSERT_TRUE(engine->Step().ok()) << "step " << i + 1;
+      }
+    }
+
+    EXPECT_EQ(victim.transcript(), reference.transcript());
+    ASSERT_EQ(victim.releases().size(), reference.releases().size());
+    for (size_t i = 0; i < reference.releases().size(); ++i) {
+      EXPECT_EQ(victim.releases()[i].t, reference.releases()[i].t);
+      EXPECT_EQ(victim.releases()[i].size, reference.releases()[i].size);
+      EXPECT_EQ(victim.releases()[i].fired, reference.releases()[i].fired);
+    }
+    ASSERT_EQ(victim.step_metrics().size(), reference.step_metrics().size());
+    for (size_t i = 0; i < reference.step_metrics().size(); ++i) {
+      const StepMetrics& a = victim.step_metrics()[i];
+      const StepMetrics& b = reference.step_metrics()[i];
+      EXPECT_EQ(a.t, b.t);
+      EXPECT_EQ(a.true_count, b.true_count);
+      EXPECT_EQ(a.view_answer, b.view_answer);
+      EXPECT_EQ(a.view_rows, b.view_rows);
+      EXPECT_EQ(a.cache_rows, b.cache_rows);
+      EXPECT_EQ(a.sync_rows, b.sync_rows);
+      EXPECT_EQ(a.synced, b.synced);
+      EXPECT_EQ(a.flushed, b.flushed);
+      EXPECT_EQ(a.transform_seconds, b.transform_seconds);
+      EXPECT_EQ(a.shrink_seconds, b.shrink_seconds);
+      EXPECT_EQ(a.query_seconds, b.query_seconds);
+    }
+    const RunSummary a = victim.Summary();
+    const RunSummary b = reference.Summary();
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.updates, b.updates);
+    EXPECT_EQ(a.flushes, b.flushes);
+    EXPECT_EQ(a.final_view_rows, b.final_view_rows);
+    EXPECT_EQ(a.final_cache_rows, b.final_cache_rows);
+    EXPECT_EQ(a.final_true_count, b.final_true_count);
+    EXPECT_EQ(a.total_real_entries_cached, b.total_real_entries_cached);
+    EXPECT_EQ(a.total_mpc_seconds, b.total_mpc_seconds);
+    EXPECT_EQ(a.l1_error.mean(), b.l1_error.mean());
+    EXPECT_EQ(victim.view().rows().shares0(),
+              reference.view().rows().shares0());
+    EXPECT_EQ(victim.view().rows().shares1(),
+              reference.view().rows().shares1());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadPairs, RejectedPairTest,
+    ::testing::Values(BadPair::kOwnerStepMismatch, BadPair::kWrongRowWidth),
+    [](const ::testing::TestParamInfo<BadPair>& param_info) {
+      return std::string(param_info.param == BadPair::kOwnerStepMismatch
+                             ? "OwnerStepMismatch"
+                             : "WrongRowWidth");
+    });
 
 TEST(EngineTest, StrategyNames) {
   EXPECT_STREQ(StrategyName(Strategy::kDpTimer), "DP-Timer");

@@ -21,6 +21,7 @@
 
 #include "src/core/config.h"
 #include "src/core/engine.h"
+#include "src/core/multilevel.h"
 #include "src/core/owner_client.h"
 #include "src/dp/transcript.h"
 #include "src/workload/generators.h"
@@ -57,8 +58,7 @@ std::string RenderRun(const Engine& engine) {
   return out.str();
 }
 
-void CheckGolden(const std::string& name, const Engine& engine) {
-  const std::string rendered = RenderRun(engine);
+void CheckGolden(const std::string& name, const std::string& rendered) {
   const std::string path = GoldenPath(name);
   if (std::getenv("INCSHRINK_REGEN_GOLDENS") != nullptr) {
     std::ofstream out(path);
@@ -108,7 +108,7 @@ TEST_P(GoldenTranscriptTest, MatchesBaseline) {
   config.flush_interval = 16;  // exercise flush events inside the stream
   SynchronousDeployment deployment(config);
   ASSERT_TRUE(deployment.Run(workload.t1, workload.t2).ok());
-  CheckGolden(gc.name, deployment.engine());
+  CheckGolden(gc.name, RenderRun(deployment.engine()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -161,7 +161,69 @@ TEST(GoldenTranscriptTest, FilterViewMatchesBaseline) {
   }
   SynchronousDeployment deployment(config);
   ASSERT_TRUE(deployment.Run(t1, t2).ok());
-  CheckGolden("tpcds_filter_timer", deployment.engine());
+  CheckGolden("tpcds_filter_timer", RenderRun(deployment.engine()));
+}
+
+// Multi-level Transform-and-Shrink (Section 8): a selection stage feeding a
+// windowed join, both on sDPTimer. Pins every per-step observable, the
+// V1/V2 sizes and the public circuit totals of the shared protocol.
+TEST(GoldenTranscriptTest, MultiLevelPipelineMatchesBaseline) {
+  MultiLevelPipeline::Config config;
+  config.eps1 = 1.0;
+  config.eps2 = 1.5;
+  config.filter = FilterSpec{100, 299};
+  config.join = JoinSpec{0, 10, true, 1, true, true};
+  config.omega = 1;
+  config.budget_b = 10;
+  config.window_steps = 8;
+  config.timer_T1 = 2;
+  config.timer_T2 = 3;
+  config.upload_rows_t1 = 4;
+  config.upload_rows_t2 = 4;
+  config.seed = 31;
+
+  // Bursty streams (up to 6 arrivals per step against 4-row uploads) so the
+  // owners' deferred-record queues are exercised too.
+  constexpr uint64_t kSteps = 36;
+  std::vector<std::vector<LogicalRecord>> t1(kSteps), t2(kSteps);
+  Rng rng(32);
+  Word rid = 1;
+  Word key = 1;
+  for (uint64_t t = 0; t < kSteps; ++t) {
+    const uint64_t n = rng.Uniform(7);
+    for (uint64_t i = 0; i < n; ++i) {
+      const Word k = key++;
+      t1[t].push_back({t + 1, rid++, k, static_cast<Word>(t + 1),
+                       static_cast<Word>(rng.Uniform(400))});
+      const uint64_t lag = rng.Uniform(3);
+      if (t + lag < kSteps) {
+        t2[t + lag].push_back({t + lag + 1, rid++, k,
+                               static_cast<Word>(t + lag + 1), 0});
+      }
+    }
+  }
+  MultiLevelPipeline pipeline(config);
+  for (uint64_t t = 0; t < kSteps; ++t) {
+    ASSERT_TRUE(pipeline.Step(t1[t], t2[t]).ok()) << t;
+  }
+
+  std::ostringstream out;
+  out << "# canonical multi-level pipeline run (integers only)\n";
+  for (const StepMetrics& m : pipeline.step_metrics()) {
+    out << "step t=" << m.t << " answer=" << m.view_answer
+        << " truth=" << m.true_count << " view_rows=" << m.view_rows
+        << " cache_rows=" << m.cache_rows << " synced=" << (m.synced ? 1 : 0)
+        << " sync_rows=" << m.sync_rows << "\n";
+  }
+  const RunSummary summary = pipeline.Summary();
+  const CircuitStats stats = pipeline.proto()->Snapshot();
+  out << "summary updates=" << summary.updates << " steps=" << summary.steps
+      << " v1_rows=" << pipeline.v1().size()
+      << " v2_rows=" << pipeline.v2().size() << "\n";
+  out << "circuit and_gates=" << stats.and_gates
+      << " xor_gates=" << stats.xor_gates << " bytes=" << stats.bytes
+      << " rounds=" << stats.rounds << "\n";
+  CheckGolden("multilevel_timer_timer", out.str());
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "src/oblivious/join.h"
 #include "src/oblivious/sort.h"
 #include "src/relational/encode.h"
+#include "src/storage/sharded_cache.h"
 #include "src/workload/generators.h"
 
 namespace incshrink {
@@ -226,6 +227,13 @@ INSTANTIATE_TEST_SUITE_P(
 // Transform conservation: counter == real rows in cache
 // ---------------------------------------------------------------------------
 
+/// The engine's cache layout with a single shard (the K = 1 deployment).
+ShardedSecureCache UnshardedCache(Protocol2PC* proto) {
+  return ShardedSecureCache(proto, 1, /*eps_total=*/1.0,
+                            /*sensitivity_b=*/1.0, /*engine_seed=*/0,
+                            CostModel::Free());
+}
+
 TEST(TransformConservationTest, CounterMatchesCacheContents) {
   IncShrinkConfig cfg = DefaultTpcDsConfig();
   cfg.strategy = Strategy::kDpTimer;
@@ -234,7 +242,7 @@ TEST(TransformConservationTest, CounterMatchesCacheContents) {
   PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
   TransformProtocol transform(&proto, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto);
+  ShardedSecureCache cache = UnshardedCache(&proto);
 
   TpcDsParams p;
   p.steps = 25;
@@ -255,8 +263,8 @@ TEST(TransformConservationTest, CounterMatchesCacheContents) {
     ASSERT_TRUE(transform.Step(t, store1, store2, &cache).ok());
     // Invariant (Alg. 1): c counts exactly the real entries in the cache
     // (no Shrink ran, so nothing has been removed).
-    EXPECT_EQ(cache.RecoverCounterInside(&proto),
-              CountRealInside(&proto, *cache.rows()))
+    EXPECT_EQ(cache.shard(0).RecoverCounterInside(&proto),
+              CountRealInside(&proto, *cache.shard(0).rows()))
         << "step " << t;
   }
 }
@@ -272,7 +280,7 @@ TEST(TransformConservationTest, ExhaustedLedgerSurfacesError) {
   }
   TransformProtocol transform(&proto, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto);
+  ShardedSecureCache cache = UnshardedCache(&proto);
   Rng rng(9);
   SharedRows b1(kSrcWidth), b2(kSrcWidth);
   b1.AppendSecretRow(EncodeSourceRow({1, 1, 5, 1, 0}), &rng);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/common/stats.h"
 #include "src/core/shrink.h"
 #include "src/mpc/party.h"
 #include "src/oblivious/cache_ops.h"
 #include "src/oblivious/formats.h"
+#include "src/oblivious/sort.h"
 
 namespace incshrink {
 namespace {
@@ -19,6 +22,17 @@ IncShrinkConfig TimerConfig() {
   cfg.timer_T = 5;
   cfg.flush_interval = 0;
   return cfg;
+}
+
+/// The engine's flush phase on a single cache: the public schedule check,
+/// the flush sort, then CommitFlush.
+ShrinkResult FlushIfDue(Protocol2PC* proto, const IncShrinkConfig& cfg,
+                        uint64_t t, SecureCache* cache,
+                        MaterializedView* view) {
+  if (!FlushDue(cfg, t)) return ShrinkResult{};
+  const CircuitStats before = proto->Snapshot();
+  ObliviousSort(proto, cache->rows(), kViewSortKeyCol, /*ascending=*/false);
+  return CommitFlush(proto, cfg, cache, view, before);
 }
 
 class ShrinkTest : public ::testing::Test {
@@ -72,7 +86,7 @@ TEST(ThresholdEncodingTest, SaturatesOutOfRange) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ShrinkTest, TimerFiresOnlyOnMultiplesOfT) {
-  ShrinkTimer timer(&proto_, TimerConfig());
+  Shrink timer(&proto_, TimerConfig());
   FillCache(3, 10);
   for (uint64_t t = 1; t <= 20; ++t) {
     const ShrinkResult r = timer.Step(t, &cache_, &view_);
@@ -83,7 +97,7 @@ TEST_F(ShrinkTest, TimerFiresOnlyOnMultiplesOfT) {
 TEST_F(ShrinkTest, TimerMovesRealEntriesFirstAndResetsCounter) {
   IncShrinkConfig cfg = TimerConfig();
   cfg.eps = 50;  // tiny noise so sz ~ c
-  ShrinkTimer timer(&proto_, cfg);
+  Shrink timer(&proto_, cfg);
   FillCache(4, 20);
   const ShrinkResult r = timer.Step(5, &cache_, &view_);
   ASSERT_TRUE(r.fired);
@@ -101,7 +115,7 @@ TEST_F(ShrinkTest, TimerMovesRealEntriesFirstAndResetsCounter) {
 TEST_F(ShrinkTest, TimerReleaseSizesCenterOnTrueCardinality) {
   IncShrinkConfig cfg = TimerConfig();
   cfg.timer_T = 1;
-  ShrinkTimer timer(&proto_, cfg);
+  Shrink timer(&proto_, cfg);
   RunningStat sizes;
   for (int i = 0; i < 3000; ++i) {
     FillCache(10, 30);
@@ -117,7 +131,7 @@ TEST_F(ShrinkTest, TimerReleaseSizesCenterOnTrueCardinality) {
 }
 
 TEST_F(ShrinkTest, TimerConsumesSimulatedTime) {
-  ShrinkTimer timer(&proto_, TimerConfig());
+  Shrink timer(&proto_, TimerConfig());
   FillCache(2, 50);
   const ShrinkResult r = timer.Step(5, &cache_, &view_);
   ASSERT_TRUE(r.fired);
@@ -136,7 +150,7 @@ IncShrinkConfig AntConfig(double theta) {
 }
 
 TEST_F(ShrinkTest, AntFiresWhenCountWellAboveThreshold) {
-  ShrinkAnt ant(&proto_, AntConfig(5));
+  Shrink ant(&proto_, AntConfig(5));
   FillCache(500, 20);
   const ShrinkResult r = ant.Step(1, &cache_, &view_);
   EXPECT_TRUE(r.fired);
@@ -144,7 +158,7 @@ TEST_F(ShrinkTest, AntFiresWhenCountWellAboveThreshold) {
 }
 
 TEST_F(ShrinkTest, AntStaysQuietWellBelowThreshold) {
-  ShrinkAnt ant(&proto_, AntConfig(5000));
+  Shrink ant(&proto_, AntConfig(5000));
   FillCache(1, 20);
   int fires = 0;
   for (uint64_t t = 1; t <= 200; ++t) {
@@ -154,7 +168,7 @@ TEST_F(ShrinkTest, AntStaysQuietWellBelowThreshold) {
 }
 
 TEST_F(ShrinkTest, AntRefreshesThresholdAfterFiring) {
-  ShrinkAnt ant(&proto_, AntConfig(5));
+  Shrink ant(&proto_, AntConfig(5));
   const double before = ant.noisy_threshold_inside();
   FillCache(500, 10);
   ASSERT_TRUE(ant.Step(1, &cache_, &view_).fired);
@@ -169,7 +183,7 @@ TEST_F(ShrinkTest, AntFiringRateAdaptsToLoad) {
     SecureCache cache(&proto);
     MaterializedView view;
     Rng rng(7);
-    ShrinkAnt ant(&proto, AntConfig(30));
+    Shrink ant(&proto, AntConfig(30));
     int fires = 0;
     for (uint64_t t = 1; t <= 120; ++t) {
       for (uint32_t i = 0; i < per_step; ++i)
@@ -186,6 +200,65 @@ TEST_F(ShrinkTest, AntFiringRateAdaptsToLoad) {
 }
 
 // ---------------------------------------------------------------------------
+// One protocol, two triggers
+// ---------------------------------------------------------------------------
+
+TEST(ShrinkStepTest, StepIsPlanThenSyncSortJobThenCommit) {
+  // Step is the single-cache form of the engine's phase split: Plan, the
+  // cache's SyncSortJob as a one-job submission, Commit — for both
+  // triggers and both sort algorithms, share for share.
+  for (const Strategy strategy : {Strategy::kDpTimer, Strategy::kDpAnt}) {
+    for (const SortAlgorithm algorithm :
+         {SortAlgorithm::kBatcher, SortAlgorithm::kShuffleSort}) {
+      IncShrinkConfig cfg = AntConfig(/*theta=*/4);
+      cfg.strategy = strategy;
+      cfg.timer_T = 3;
+      cfg.sort_algorithm = algorithm;
+      Party a0(0, 11), a1(1, 12), b0(0, 11), b1(1, 12);
+      Protocol2PC pa(&a0, &a1, CostModel::EmpLikeLan());
+      Protocol2PC pb(&b0, &b1, CostModel::EmpLikeLan());
+      SecureCache ca(&pa), cb(&pb);
+      MaterializedView va, vb;
+      Shrink sa(&pa, cfg), sb(&pb, cfg);
+      Rng ra(13), rb(13);
+      uint64_t fires = 0;
+      for (uint64_t t = 1; t <= 12; ++t) {
+        for (auto [proto, cache, rng] : {std::tuple{&pa, &ca, &ra},
+                                         std::tuple{&pb, &cb, &rb}}) {
+          for (uint32_t i = 0; i < 3; ++i) {
+            std::vector<Word> row(kViewWidth);
+            row[kViewIsViewCol] = 1;
+            row[kViewSortKeyCol] = MakeCacheSortKey(true, (*cache->seq())++);
+            cache->rows()->AppendSecretRow(row, rng);
+            AppendDummyViewRow(cache->rows(), rng, cache->seq());
+          }
+          cache->AddToCounter(proto, 3);
+        }
+        const ShrinkResult ra_result = sa.Step(t, &ca, &va);
+        const ShrinkPlan plan = sb.Plan(t, &cb);
+        ShrinkResult rb_result = plan.early;
+        if (plan.fired) {
+          SortJob job = SyncSortJob(&pb, &cb, cfg);
+          ObliviousSortBatch(&job, 1);
+          rb_result = sb.Commit(plan, &cb, &vb);
+        }
+        EXPECT_EQ(ra_result.fired, rb_result.fired) << "t=" << t;
+        EXPECT_EQ(ra_result.released_size, rb_result.released_size);
+        EXPECT_EQ(ra_result.sync_rows, rb_result.sync_rows);
+        EXPECT_EQ(ra_result.simulated_seconds, rb_result.simulated_seconds);
+        if (ra_result.fired) ++fires;
+      }
+      EXPECT_GT(fires, 0u);
+      EXPECT_EQ(va.rows().shares0(), vb.rows().shares0());
+      EXPECT_EQ(va.rows().shares1(), vb.rows().shares1());
+      EXPECT_EQ(ca.rows()->shares0(), cb.rows()->shares0());
+      EXPECT_EQ(pa.stats().and_gates, pb.stats().and_gates);
+      EXPECT_EQ(pa.stats().bytes, pb.stats().bytes);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cache flush
 // ---------------------------------------------------------------------------
 
@@ -195,9 +268,9 @@ TEST_F(ShrinkTest, FlushOnlyAtConfiguredInterval) {
   cfg.flush_size = 3;
   FillCache(2, 10);
   for (uint64_t t = 1; t <= 6; ++t) {
-    EXPECT_FALSE(MaybeFlushCache(&proto_, cfg, t, &cache_, &view_).fired);
+    EXPECT_FALSE(FlushIfDue(&proto_, cfg, t, &cache_, &view_).fired);
   }
-  const ShrinkResult r = MaybeFlushCache(&proto_, cfg, 7, &cache_, &view_);
+  const ShrinkResult r = FlushIfDue(&proto_, cfg, 7, &cache_, &view_);
   EXPECT_TRUE(r.fired);
   EXPECT_EQ(r.sync_rows, 3u);
   EXPECT_EQ(cache_.size(), 0u);  // recycled
@@ -215,7 +288,7 @@ TEST_F(ShrinkTest, FlushResetsCardinalityCounter) {
   cfg.flush_size = 3;
   FillCache(5, 10);
   ASSERT_EQ(cache_.RecoverCounterInside(&proto_), 5u);
-  const ShrinkResult r = MaybeFlushCache(&proto_, cfg, 4, &cache_, &view_);
+  const ShrinkResult r = FlushIfDue(&proto_, cfg, 4, &cache_, &view_);
   ASSERT_TRUE(r.fired);
   EXPECT_EQ(cache_.size(), 0u);
   EXPECT_EQ(cache_.RecoverCounterInside(&proto_), 0u);
@@ -231,7 +304,7 @@ TEST_F(ShrinkTest, ReleasesAfterFlushCountOnlyFreshEntries) {
   cfg.timer_T = 2;
   cfg.flush_interval = 3;
   cfg.flush_size = 50;  // flush everything cached so far
-  ShrinkTimer timer(&proto_, cfg);
+  Shrink timer(&proto_, cfg);
   uint32_t fresh_entries = 0;
   for (uint64_t t = 1; t <= 24; ++t) {
     const uint32_t arriving = 1 + static_cast<uint32_t>(t % 3);
@@ -242,7 +315,7 @@ TEST_F(ShrinkTest, ReleasesAfterFlushCountOnlyFreshEntries) {
       EXPECT_EQ(sync.released_size, fresh_entries) << "step " << t;
       fresh_entries = 0;
     }
-    if (MaybeFlushCache(&proto_, cfg, t, &cache_, &view_).fired) {
+    if (FlushIfDue(&proto_, cfg, t, &cache_, &view_).fired) {
       fresh_entries = 0;  // the flush recycled everything still cached
     }
   }
@@ -255,7 +328,7 @@ TEST_F(ShrinkTest, AntReleasesAfterFlushCountOnlyFreshEntries) {
   cfg.eps = 800;  // tiny threshold + tiny noise: fires whenever c >= ~2
   cfg.flush_interval = 5;
   cfg.flush_size = 50;
-  ShrinkAnt ant(&proto_, cfg);
+  Shrink ant(&proto_, cfg);
   uint32_t fresh_entries = 0;
   for (uint64_t t = 1; t <= 30; ++t) {
     FillCache(2, 1);
@@ -265,7 +338,7 @@ TEST_F(ShrinkTest, AntReleasesAfterFlushCountOnlyFreshEntries) {
       EXPECT_EQ(sync.released_size, fresh_entries) << "step " << t;
       fresh_entries = 0;
     }
-    if (MaybeFlushCache(&proto_, cfg, t, &cache_, &view_).fired) {
+    if (FlushIfDue(&proto_, cfg, t, &cache_, &view_).fired) {
       EXPECT_EQ(cache_.RecoverCounterInside(&proto_), 0u) << "step " << t;
       fresh_entries = 0;
     }
@@ -277,7 +350,7 @@ TEST_F(ShrinkTest, FlushDisabledWithZeroInterval) {
   cfg.flush_interval = 0;
   FillCache(2, 2);
   for (uint64_t t = 1; t <= 50; ++t) {
-    EXPECT_FALSE(MaybeFlushCache(&proto_, cfg, t, &cache_, &view_).fired);
+    EXPECT_FALSE(FlushIfDue(&proto_, cfg, t, &cache_, &view_).fired);
   }
 }
 

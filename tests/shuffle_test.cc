@@ -5,8 +5,8 @@
 //     with layer-disjoint switches whose topology (pair placement, layer
 //     sizes, depth, switch count) is a pure function of n;
 //   * execution equivalence: ObliviousShuffle is deterministic, and the
-//     multi-job submissions (ObliviousShuffleBatch, RandomPermuteBatch,
-//     shuffle-sort jobs of ObliviousSortBatch) fanned out at 1 / 2 / 8
+//     multi-job submissions (RandomPermuteBatch, shuffle-sort jobs of
+//     ObliviousSortBatch) fanned out at 1 / 2 / 8
 //     threads are bit-identical (shares, randomness stream, aggregate cost)
 //     to each job run alone;
 //   * shuffle-then-sort: same sorted key order as Batcher, thread- and
@@ -195,25 +195,6 @@ TEST(WaksmanNetworkTest, SwitchCountIsNLogNMinusNPlusOneAtPowersOfTwo) {
   EXPECT_EQ(ShuffleNetworkSwitches(3), 3u);
 }
 
-TEST(ShuffleLayerCursorTest, EnumeratesExactlyTheMaterializedLayers) {
-  std::vector<uint32_t> perm{3, 0, 4, 1, 2};
-  const auto layers = WaksmanNetwork(perm);
-  ShuffleLayerCursor cursor(perm);
-  std::vector<ProgrammedSwitch> layer;
-  size_t l = 0;
-  while (cursor.Next(&layer)) {
-    ASSERT_LT(l, layers.size());
-    ASSERT_EQ(layer.size(), layers[l].size());
-    for (size_t p = 0; p < layer.size(); ++p) {
-      EXPECT_EQ(layer[p].pair.a, layers[l][p].pair.a);
-      EXPECT_EQ(layer[p].pair.b, layers[l][p].pair.b);
-      EXPECT_EQ(layer[p].swap, layers[l][p].swap);
-    }
-    ++l;
-  }
-  EXPECT_EQ(l, layers.size());
-}
-
 // ---------------------------------------------------------------------------
 // Permutation draws
 // ---------------------------------------------------------------------------
@@ -312,38 +293,6 @@ TEST(ObliviousShuffleTest, BatchedEqualsSerialAtAllThreadCounts) {
 // ---------------------------------------------------------------------------
 // Oblivious execution: multi-job submissions
 // ---------------------------------------------------------------------------
-
-TEST(ObliviousShuffleBatchTest, FusedJobsEqualEachJobAlone) {
-  Rng rng(8);
-  const std::vector<size_t> sizes{64, 33, 128, 5};
-  std::vector<SharedRows> inputs;
-  for (const size_t n : sizes) inputs.push_back(RandomViewRows(&rng, n));
-  // Reference: each job alone, serial, on its own protocol.
-  std::vector<ProtoPair> ref(sizes.size());
-  std::vector<SharedRows> ref_rows = inputs;
-  std::vector<std::vector<uint32_t>> perms(sizes.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    perms[i] = DrawPublicPermutation(&ref[i].proto, sizes[i]);
-    ObliviousShuffle(&ref[i].proto, &ref_rows[i], perms[i]);
-  }
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<ProtoPair> fused(sizes.size());
-    std::vector<SharedRows> fused_rows = inputs;
-    std::vector<ShuffleJob> jobs;
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      (void)DrawPublicPermutation(&fused[i].proto, sizes[i]);
-      jobs.push_back({&fused[i].proto, &fused_rows[i], &perms[i]});
-    }
-    ThreadPool pool(threads);
-    ObliviousShuffleBatch(jobs.data(), jobs.size(), BatchExec{&pool, 1});
-    for (size_t i = 0; i < sizes.size(); ++i) {
-      SCOPED_TRACE("job " + std::to_string(i));
-      ExpectRowsIdentical(ref_rows[i], fused_rows[i]);
-      ExpectStatsEqual(ref[i].proto.stats(), fused[i].proto.stats());
-    }
-  }
-}
 
 TEST(ObliviousRandomPermuteTest, PreservesRowsAndFusesLikeSingles) {
   Rng rng(9);
@@ -557,8 +506,9 @@ TEST(ShuffleGateBudgetTest, WaksmanFlushBeatsBatcherFlushAt4096) {
   SharedRows rows = RandomViewRows(&rng, 256);
   ProtoPair p;
   const CircuitStats before = p.proto.Snapshot();
-  SharedRows fetched =
-      CacheFlush(&p.proto, &rows, 15, SortAlgorithm::kShuffleSort);
+  // The shuffle-tier flush: one random permute, then the fixed prefix.
+  ObliviousRandomPermute(&p.proto, &rows);
+  SharedRows fetched = TakeFlushPrefix(&p.proto, &rows, 15);
   EXPECT_EQ(fetched.size(), 15u);
   EXPECT_EQ(p.proto.stats().and_gates - before.and_gates,
             ShuffleNetworkSwitches(256) * kViewWidth * kWordBits);
@@ -573,7 +523,7 @@ TEST(ShuffleSortComparisonsTest, IsNCeilLogN) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-op tier dispatch
+// Cache reads on the shuffle tier
 // ---------------------------------------------------------------------------
 
 TEST(ShuffleCacheOpsTest, ShuffleSortCacheReadReturnsTheRealPrefix) {
@@ -583,24 +533,13 @@ TEST(ShuffleCacheOpsTest, ShuffleSortCacheReadReturnsTheRealPrefix) {
   Protocol2PC probe(&probe0, &probe1, CostModel::Free());
   const uint32_t real = CountRealInside(&probe, cache);
   ProtoPair p;
-  SharedRows fetched = ObliviousCacheRead(&p.proto, &cache, real,
-                                          SortAlgorithm::kShuffleSort);
+  ObliviousShuffleSort(&p.proto, &cache, kViewSortKeyCol,
+                       /*ascending=*/false);
+  SharedRows fetched = TakeSortedPrefix(&p.proto, &cache, real);
   ASSERT_EQ(fetched.size(), real);
   for (size_t r = 0; r < fetched.size(); ++r) {
     EXPECT_EQ(fetched.RecoverRow(r)[kViewIsViewCol], 1u) << "row " << r;
   }
-}
-
-TEST(ShuffleCacheOpsTest, BatcherAlgorithmOverloadIsTheLegacyPath) {
-  Rng rng(19);
-  const SharedRows input = RandomViewRows(&rng, 64);
-  ProtoPair legacy, dispatched;
-  SharedRows a = input, b = input;
-  SharedRows fa = CacheFlush(&legacy.proto, &a, 10);
-  SharedRows fb =
-      CacheFlush(&dispatched.proto, &b, 10, SortAlgorithm::kBatcher);
-  ExpectRowsIdentical(fa, fb);
-  ExpectStatsEqual(legacy.proto.stats(), dispatched.proto.stats());
 }
 
 // ---------------------------------------------------------------------------

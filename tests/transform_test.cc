@@ -4,10 +4,17 @@
 #include "src/mpc/party.h"
 #include "src/oblivious/cache_ops.h"
 #include "src/relational/encode.h"
-#include "src/storage/secure_cache.h"
+#include "src/storage/sharded_cache.h"
 
 namespace incshrink {
 namespace {
+
+/// The engine's cache layout with a single shard (the K = 1 deployment).
+ShardedSecureCache UnshardedCache(Protocol2PC* proto) {
+  return ShardedSecureCache(proto, 1, /*eps_total=*/1.0,
+                            /*sensitivity_b=*/1.0, /*engine_seed=*/0,
+                            CostModel::Free());
+}
 
 IncShrinkConfig SmallConfig() {
   IncShrinkConfig cfg;
@@ -81,7 +88,7 @@ TEST_F(TransformTest, SingleStepJoinCachesRealEntries) {
   PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
   TransformProtocol transform(&proto_, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto_);
+  ShardedSecureCache cache = UnshardedCache(&proto_);
 
   UploadBatch(&store1, {Rec(1, 1, 100, 5), Rec(1, 2, 200, 5)}, 3);
   UploadBatch(&store2, {Rec(1, 3, 100, 7)}, 3);
@@ -92,8 +99,8 @@ TEST_F(TransformTest, SingleStepJoinCachesRealEntries) {
   EXPECT_EQ(result->appended_rows,
             TransformProtocol::PublicCacheAppendRows(cfg, 1));
   EXPECT_EQ(cache.size(), result->appended_rows);
-  EXPECT_EQ(cache.RecoverCounterInside(&proto_), 1u);
-  EXPECT_EQ(CountRealInside(&proto_, *cache.rows()), 1u);
+  EXPECT_EQ(cache.shard(0).RecoverCounterInside(&proto_), 1u);
+  EXPECT_EQ(CountRealInside(&proto_, *cache.shard(0).rows()), 1u);
   EXPECT_GT(result->simulated_seconds, 0.0);
 }
 
@@ -102,7 +109,7 @@ TEST_F(TransformTest, CrossStepPairsAreFoundOnce) {
   PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
   TransformProtocol transform(&proto_, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto_);
+  ShardedSecureCache cache = UnshardedCache(&proto_);
 
   // Step 1: sale (key 100). Step 2: its return.
   UploadBatch(&store1, {Rec(1, 1, 100, 1)}, 3);
@@ -116,7 +123,7 @@ TEST_F(TransformTest, CrossStepPairsAreFoundOnce) {
   auto r2 = transform.Step(2, store1, store2, &cache);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->real_entries, 1u);  // old1 x new2 pair found exactly once
-  EXPECT_EQ(cache.RecoverCounterInside(&proto_), 1u);
+  EXPECT_EQ(cache.shard(0).RecoverCounterInside(&proto_), 1u);
 
   // Step 3: nothing new; the old pair must NOT be regenerated.
   UploadBatch(&store1, {}, 3);
@@ -124,7 +131,7 @@ TEST_F(TransformTest, CrossStepPairsAreFoundOnce) {
   auto r3 = transform.Step(3, store1, store2, &cache);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3->real_entries, 0u);
-  EXPECT_EQ(cache.RecoverCounterInside(&proto_), 1u);
+  EXPECT_EQ(cache.shard(0).RecoverCounterInside(&proto_), 1u);
 }
 
 TEST_F(TransformTest, RetiredRecordsStopJoining) {
@@ -134,7 +141,7 @@ TEST_F(TransformTest, RetiredRecordsStopJoining) {
   PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
   TransformProtocol transform(&proto_, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto_);
+  ShardedSecureCache cache = UnshardedCache(&proto_);
 
   UploadBatch(&store1, {Rec(1, 1, 100, 1)}, 3);
   UploadBatch(&store2, {}, 3);
@@ -157,7 +164,7 @@ TEST_F(TransformTest, BudgetLedgerNeverExceedsB) {
   PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
   TransformProtocol transform(&proto_, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto_);
+  ShardedSecureCache cache = UnshardedCache(&proto_);
 
   UploadBatch(&store1, {Rec(1, 1, 100, 1)}, 3);
   UploadBatch(&store2, {}, 3);
@@ -182,7 +189,7 @@ TEST_F(TransformTest, PublicT2PathCapsOnlyPrivateSide) {
   PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
   TransformProtocol transform(&proto_, cfg, &acc);
   OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-  SecureCache cache(&proto_);
+  ShardedSecureCache cache = UnshardedCache(&proto_);
 
   // One public T2 row matching three private T1 rows: with cap_t2 lifted the
   // public row can serve several private partners (up to omega slots per
@@ -211,7 +218,7 @@ TEST_F(TransformTest, NestedLoopOperatorProducesSameCounts) {
     PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
     TransformProtocol transform(&proto, cfg, &acc);
     OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-    SecureCache cache(&proto);
+    ShardedSecureCache cache = UnshardedCache(&proto);
 
     Rng rng(30);
     SharedRows b1(kSrcWidth), b2(kSrcWidth);
@@ -243,7 +250,7 @@ TEST_F(TransformTest, CacheAppendSizeIsDeterministicAcrossData) {
     PrivacyAccountant acc(cfg.eps, cfg.budget_b, cfg.omega);
     TransformProtocol transform(&proto, cfg, &acc);
     OutsourcedTable store1(kSrcWidth), store2(kSrcWidth);
-    SecureCache cache(&proto);
+    ShardedSecureCache cache = UnshardedCache(&proto);
     Rng rng(50 + variant);
     Word rid = 1;
     for (uint64_t t = 1; t <= 6; ++t) {

@@ -30,10 +30,11 @@ Suppressions mirror the src/net `net-timeout-ok` idiom:
     // oblivious-ok: <reason>        (same line, or next code line when the
                                       comment stands alone)
     // oblivious-ok-begin: <reason>  ... // oblivious-ok-end   (region)
-Every marker is counted and printed so suppression drift stays visible.
+Every marker is counted and printed so suppression drift stays visible; a
+marker that suppresses no finding is stale and fails the run.
 
-Exit codes: 0 clean, 1 unsuppressed findings (or self-test mismatch),
-2 usage/manifest error.
+Exit codes: 0 clean, 1 unsuppressed findings, unused markers (or self-test
+mismatch), 2 usage/manifest error.
 
 Analysis is intra-procedural and token-based by design: taint propagates
 through declarations, assignments and member chains, not through container
@@ -804,21 +805,26 @@ def run_lint(paths, manifest, token_source, rel_to, verbose_suppressed=False):
           f"({line_markers} line, {region_markers} region), "
           f"{suppressed_total} findings suppressed, "
           f"{len(unused_markers)} unused markers")
+    # A marker that suppresses nothing is stale: the code it sanctioned has
+    # moved or gone, and left standing it would silently bless whatever
+    # lands on that line next.
     for u in unused_markers:
-        print(f"oblivious-lint: note: unused marker at {u}")
-    ok = not unsuppressed and not errors
-    print(f"oblivious-lint: {len(unsuppressed)} unsuppressed findings -> "
-          f"{'OK' if ok else 'FAIL'}")
+        print(f"oblivious-lint: UNUSED-MARKER {u}")
+    ok = not unsuppressed and not errors and not unused_markers
+    print(f"oblivious-lint: {len(unsuppressed)} unsuppressed findings, "
+          f"{len(unused_markers)} unused markers -> {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 _EXPECT_FINDINGS = re.compile(r"//\s*expect-findings:\s*(\d+)")
 _EXPECT_SUPPRESSED = re.compile(r"//\s*expect-suppressed:\s*(\d+)")
+_EXPECT_UNUSED = re.compile(r"//\s*expect-unused-markers:\s*(\d+)")
 
 
 def run_selftest(fixtures_dir, manifest, token_source):
-    """Runs the analysis over each fixture and checks the exact finding and
-    suppression counts its header comments declare."""
+    """Runs the analysis over each fixture and checks the exact finding,
+    suppression and unused-marker counts its header comments declare (the
+    latter two default to 0)."""
     paths = sorted(
         os.path.join(fixtures_dir, n) for n in os.listdir(fixtures_dir)
         if n.endswith((".cc", ".h")))
@@ -837,17 +843,22 @@ def run_selftest(fixtures_dir, manifest, token_source):
         want = int(m.group(1))
         ms = _EXPECT_SUPPRESSED.search(head)
         want_suppressed = int(ms.group(1)) if ms else 0
+        mu = _EXPECT_UNUSED.search(head)
+        want_unused = int(mu.group(1)) if mu else 0
         findings, supp = analyze_file(path, manifest, token_source,
                                       os.path.dirname(fixtures_dir) or ".")
         got = sum(1 for f_ in findings if not f_.suppressed)
         got_suppressed = sum(1 for f_ in findings if f_.suppressed)
+        got_unused = len(supp.unused())
         status = "ok"
-        if got != want or got_suppressed != want_suppressed or supp.errors:
+        if (got != want or got_suppressed != want_suppressed
+                or got_unused != want_unused or supp.errors):
             status = "MISMATCH"
             failures += 1
         print(f"oblivious-lint: selftest {os.path.basename(path)}: "
               f"findings {got}/{want} suppressed {got_suppressed}/"
-              f"{want_suppressed} markers {supp.marker_count} -> {status}")
+              f"{want_suppressed} unused markers {got_unused}/{want_unused} "
+              f"markers {supp.marker_count} -> {status}")
         if status == "MISMATCH":
             for fi in findings:
                 tag = "suppressed " if fi.suppressed else ""
