@@ -103,7 +103,8 @@ void BM_CacheRead(benchmark::State& state) {
     state.PauseTiming();
     SharedRows cache = RandomViewRows(&rng, n);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(ObliviousCacheRead(&proto, &cache, n / 4));
+    ObliviousSort(&proto, &cache, kViewSortKeyCol, /*ascending=*/false);
+    benchmark::DoNotOptimize(TakeSortedPrefix(&proto, &cache, n / 4));
   }
 }
 BENCHMARK(BM_CacheRead)->Arg(256)->Arg(1024);
@@ -179,7 +180,7 @@ void BM_ObliviousCountWhere(benchmark::State& state) {
 BENCHMARK(BM_ObliviousCountWhere)->Arg(1024)->Arg(8192);
 
 // ---------------------------------------------------------------------------
-// Scalar vs batched (layer-vectorized) primitive throughput
+// Network kernels: throughput and fingerprints
 // ---------------------------------------------------------------------------
 
 uint64_t Fnv1a64(uint64_t h, const std::vector<Word>& words) {
@@ -195,27 +196,8 @@ uint64_t RowsFingerprint(const SharedRows& rows) {
   return Fnv1a64(h, rows.shares1());
 }
 
-/// The batched path must reproduce the scalar path bit for bit — checked
-/// here over FNV fingerprints of both share arrays so a silent divergence
-/// fails the bench run itself, not just the unit suite.
-void CheckSortFingerprints(size_t n) {
-  Rng rng(41 + n);
-  const SharedRows input = RandomViewRows(&rng, n);
-  Party a0(0, 51), a1(1, 52);
-  Protocol2PC scalar(&a0, &a1, CostModel::EmpLikeLan());
-  SharedRows s = input;
-  ObliviousSortScalar(&scalar, &s, kViewSortKeyCol, false);
-  Party b0(0, 51), b1(1, 52);
-  Protocol2PC batched(&b0, &b1, CostModel::EmpLikeLan());
-  SharedRows b = input;
-  ObliviousSort(&batched, &b, kViewSortKeyCol, false);
-  INCSHRINK_CHECK_EQ(RowsFingerprint(s), RowsFingerprint(b));
-  INCSHRINK_CHECK_EQ(scalar.Snapshot().and_gates,
-                     batched.Snapshot().and_gates);
-}
-
 /// Shared measurement body: rows/sec and (simulated) gates/sec of an
-/// n-row oblivious sort under `run`.
+/// n-row oblivious sort or shuffle under `run`.
 template <typename RunFn>
 void SortThroughputLoop(benchmark::State& state, size_t n, RunFn&& run) {
   Party s0(0, 1), s1(1, 2);
@@ -237,22 +219,24 @@ void SortThroughputLoop(benchmark::State& state, size_t n, RunFn&& run) {
       static_cast<double>(gates), benchmark::Counter::kIsRate);
 }
 
-void BM_ObliviousSortScalar(benchmark::State& state) {
+/// The row-moving kernel alone — one gather and one reshare per output
+/// word — under a fixed public permutation: the floor every sort and
+/// shuffle of n rows pays on top of computing its permutation.
+void BM_PermuteAndReshare(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  SortThroughputLoop(state, n, [](Protocol2PC* proto, SharedRows* rows) {
-    ObliviousSortScalar(proto, rows, kViewSortKeyCol, false);
-  });
+  Party s0(0, 1), s1(1, 2);
+  Protocol2PC proto(&s0, &s1, CostModel::EmpLikeLan());
+  Rng rng(3);
+  SharedRows rows = RandomViewRows(&rng, n);
+  const std::vector<uint32_t> perm = DrawPublicPermutation(&proto, n);
+  for (auto _ : state) {
+    proto.PermuteAndReshare(&rows, perm.data());
+    benchmark::DoNotOptimize(rows.shares1().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_ObliviousSortScalar)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_ObliviousSortBatched(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  CheckSortFingerprints(n);
-  SortThroughputLoop(state, n, [](Protocol2PC* proto, SharedRows* rows) {
-    ObliviousSort(proto, rows, kViewSortKeyCol, false);
-  });
-}
-BENCHMARK(BM_ObliviousSortBatched)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_PermuteAndReshare)->Arg(256)->Arg(1024)->Arg(4096);
 
 /// One party pair and protocol per job of a multi-job submission.
 struct JobProto {
@@ -390,9 +374,9 @@ void PrintLayerHistogram(size_t n) {
 // Waksman permutation-network shuffles
 // ---------------------------------------------------------------------------
 
-/// Bit-equality gate for the shuffle path, mirroring CheckSortFingerprints:
-/// ObliviousRandomPermute must equal an explicit DrawPublicPermutation +
-/// ObliviousShuffle, so a silent divergence fails the bench run itself.
+/// Bit-equality gate for the shuffle path: ObliviousRandomPermute must
+/// equal an explicit DrawPublicPermutation + ObliviousShuffle, so a silent
+/// divergence fails the bench run itself.
 void CheckShuffleFingerprints(size_t n) {
   Rng rng(61 + n);
   const SharedRows input = RandomViewRows(&rng, n);
@@ -452,7 +436,8 @@ void MeasureFlushGateRatio(incshrink::bench::JsonWriter* json) {
   Protocol2PC batcher(&a0, &a1, CostModel::EmpLikeLan());
   SharedRows cache_b = input;
   const auto t0 = std::chrono::steady_clock::now();
-  SharedRows fetched_b = CacheFlush(&batcher, &cache_b, flush_size);
+  ObliviousSort(&batcher, &cache_b, kViewSortKeyCol, /*ascending=*/false);
+  SharedRows fetched_b = TakeFlushPrefix(&batcher, &cache_b, flush_size);
   const auto t1 = std::chrono::steady_clock::now();
   const uint64_t batcher_gates = batcher.Snapshot().and_gates;
 

@@ -525,27 +525,11 @@ uint64_t Engine::StepsToNextPublicRelease() const {
 }
 
 RunSummary Engine::Summary() const {
-  RunSummary s;
-  for (const StepMetrics& m : metrics_) {
-    s.l1_error.Add(m.l1_error);
-    s.relative_error.Add(m.relative_error);
-    s.true_count_stat.Add(static_cast<double>(m.true_count));
-    s.qet_seconds.Add(m.query_seconds);
-    if (m.transform_seconds > 0) s.transform_seconds.Add(m.transform_seconds);
-    if (m.synced) {
-      s.shrink_seconds.Add(m.shrink_seconds);
-      ++s.updates;
-    }
-    if (m.flushed) ++s.flushes;
-    s.total_mpc_seconds += m.transform_seconds + m.shrink_seconds;
-    s.total_query_seconds += m.query_seconds;
-  }
-  s.steps = metrics_.size();
+  RunSummary s = SummarizeSteps(metrics_);
   s.final_view_mb = view_.SizeMb();
   s.final_view_rows = view_.size();
   s.final_cache_rows = cache_.size();
   s.total_real_entries_cached = total_real_entries_;
-  if (!metrics_.empty()) s.final_true_count = metrics_.back().true_count;
   return s;
 }
 

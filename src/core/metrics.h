@@ -55,6 +55,31 @@ struct RunSummary {
   }
 };
 
+/// Accumulates the per-step half of a RunSummary from a run's metrics, in
+/// step order: error, truth and QET stats, Transform and fired-Shrink costs,
+/// update and flush counts, totals, the step count and the final true
+/// count. The caller fills the end-of-run state (view, cache, real entries).
+inline RunSummary SummarizeSteps(const std::vector<StepMetrics>& metrics) {
+  RunSummary s;
+  for (const StepMetrics& m : metrics) {
+    s.l1_error.Add(m.l1_error);
+    s.relative_error.Add(m.relative_error);
+    s.true_count_stat.Add(static_cast<double>(m.true_count));
+    s.qet_seconds.Add(m.query_seconds);
+    if (m.transform_seconds > 0) s.transform_seconds.Add(m.transform_seconds);
+    if (m.synced) {
+      s.shrink_seconds.Add(m.shrink_seconds);
+      ++s.updates;
+    }
+    if (m.flushed) ++s.flushes;
+    s.total_mpc_seconds += m.transform_seconds + m.shrink_seconds;
+    s.total_query_seconds += m.query_seconds;
+  }
+  s.steps = metrics.size();
+  if (!metrics.empty()) s.final_true_count = metrics.back().true_count;
+  return s;
+}
+
 /// Nearest-rank percentile of an (unsorted) integer sample set: the smallest
 /// sample s such that at least pct% of the samples are <= s. Exact integer
 /// arithmetic, 0 for an empty set. Used for the fleet's per-tenant

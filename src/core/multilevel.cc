@@ -170,24 +170,9 @@ Status MultiLevelPipeline::Step(const std::vector<LogicalRecord>& new1,
 }
 
 RunSummary MultiLevelPipeline::Summary() const {
-  RunSummary s;
-  for (const StepMetrics& m : metrics_) {
-    s.l1_error.Add(m.l1_error);
-    s.relative_error.Add(m.relative_error);
-    s.true_count_stat.Add(static_cast<double>(m.true_count));
-    s.qet_seconds.Add(m.query_seconds);
-    if (m.transform_seconds > 0) s.transform_seconds.Add(m.transform_seconds);
-    if (m.synced) {
-      s.shrink_seconds.Add(m.shrink_seconds);
-      ++s.updates;
-    }
-    s.total_mpc_seconds += m.transform_seconds + m.shrink_seconds;
-    s.total_query_seconds += m.query_seconds;
-  }
-  s.steps = metrics_.size();
+  RunSummary s = SummarizeSteps(metrics_);
   s.final_view_mb = view1_.SizeMb() + view2_.SizeMb();
   s.final_view_rows = view2_.size();
-  if (!metrics_.empty()) s.final_true_count = metrics_.back().true_count;
   return s;
 }
 

@@ -1,5 +1,6 @@
 #include "src/mpc/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/fixed_point.h"
@@ -118,59 +119,6 @@ void Protocol2PC::SetRowWord(SharedRows* rows, size_t row, size_t col,
   rows->set_share1_at(row, col, v.s1);
 }
 
-void Protocol2PC::MuxSwapRows(SharedRows* rows, size_t i, size_t j,
-                              const WordShares& swap) {
-  const size_t width = rows->width();
-  // XOR-swap circuit: per payload bit, one AND with the swap bit.
-  AccountAndGates(width * kWordBits);
-  const Word do_swap = RecoverInside(swap) & 1;
-  for (size_t c = 0; c < width; ++c) {
-    const Word a = rows->share0_at(i, c) ^ rows->share1_at(i, c);
-    const Word b = rows->share0_at(j, c) ^ rows->share1_at(j, c);
-    // oblivious-ok: ideal-functionality XOR-swap — per-bit AND cost charged
-    // above; both rows rewritten with fresh shares either way
-    const Word new_i = do_swap ? b : a;
-    // oblivious-ok: same site, second arm of the swap
-    const Word new_j = do_swap ? a : b;
-    const WordShares si = Reshare(new_i);
-    const WordShares sj = Reshare(new_j);
-    rows->set_share0_at(i, c, si.s0);
-    rows->set_share1_at(i, c, si.s1);
-    rows->set_share0_at(j, c, sj.s0);
-    rows->set_share1_at(j, c, sj.s1);
-  }
-}
-
-void Protocol2PC::CompareExchangeRows(SharedRows* rows, size_t i, size_t j,
-                                      size_t key_col, bool ascending) {
-  INCSHRINK_CHECK_LT(i, j);
-  AccountAndGates(kWordBits);  // key comparison
-  const Word ki = rows->share0_at(i, key_col) ^ rows->share1_at(i, key_col);
-  const Word kj = rows->share0_at(j, key_col) ^ rows->share1_at(j, key_col);
-  const bool out_of_order = ascending ? (kj < ki) : (ki < kj);
-  // oblivious-ok: ideal-functionality compare-exchange — comparison cost
-  // charged above; the swap itself runs the unconditional XOR-swap circuit
-  MuxSwapRows(rows, i, j, Reshare(out_of_order ? 1 : 0));
-}
-
-void Protocol2PC::CompareExchangeRowsLex(SharedRows* rows, size_t i, size_t j,
-                                         size_t major_col, size_t minor_col,
-                                         bool ascending) {
-  INCSHRINK_CHECK_LT(i, j);
-  // Two comparisons + one equality + combine gates.
-  AccountAndGates(3 * kWordBits + 2);
-  const Word mi = rows->share0_at(i, major_col) ^ rows->share1_at(i, major_col);
-  const Word mj = rows->share0_at(j, major_col) ^ rows->share1_at(j, major_col);
-  const Word ni = rows->share0_at(i, minor_col) ^ rows->share1_at(i, minor_col);
-  const Word nj = rows->share0_at(j, minor_col) ^ rows->share1_at(j, minor_col);
-  const bool i_greater = mi > mj || (mi == mj && ni > nj);
-  const bool j_greater = mj > mi || (mj == mi && nj > ni);
-  const bool out_of_order = ascending ? i_greater : j_greater;
-  // oblivious-ok: ideal-functionality lex compare-exchange — comparison cost
-  // charged above; swap runs the unconditional XOR-swap circuit
-  MuxSwapRows(rows, i, j, Reshare(out_of_order ? 1 : 0));
-}
-
 WordShares Protocol2PC::SumColumn(const SharedRows& rows, size_t col) {
   // n-1 ripple-carry additions.
   if (!rows.empty()) AccountAndGates((rows.size() - 1) * kWordBits);
@@ -184,6 +132,57 @@ WordShares Protocol2PC::SumColumn(const SharedRows& rows, size_t col) {
 // ---------------------------------------------------------------------------
 // Batched oblivious primitives
 // ---------------------------------------------------------------------------
+
+void Protocol2PC::PermuteAndReshare(SharedRows* rows,
+                                    const uint32_t* src_of_dst) {
+  const size_t n = rows->size();
+  const size_t w = rows->width();
+  const size_t words = n * w;
+  Word* s0 = rows->mutable_share0();
+  Word* s1 = rows->mutable_share1();
+  // Recover every word into the S1 array, inside the functionality.
+  for (size_t i = 0; i < words; ++i) s1[i] ^= s0[i];
+  // oblivious-ok-begin: ideal-functionality gather — the caller charged
+  // the whole network it stands for, and every output word is re-masked
+  // below in destination order, so no share depends on the permutation
+  std::vector<uint8_t> pending(n, 0);  // 1 = row not yet moved
+  for (size_t k = 0; k < n; ++k) {
+    INCSHRINK_CHECK_LT(src_of_dst[k], n);
+    INCSHRINK_CHECK(pending[src_of_dst[k]] == 0);  // a permutation
+    pending[src_of_dst[k]] = 1;
+  }
+  // Cycle by cycle: hold the cycle's first row, pull each source row into
+  // its destination, and drop the held row into the last slot.
+  std::vector<Word> held(w);
+  for (size_t start = 0; start < n; ++start) {
+    if (pending[start] == 0) continue;
+    pending[start] = 0;
+    if (src_of_dst[start] == start) continue;
+    std::copy_n(s1 + start * w, w, held.data());
+    size_t dst = start;
+    for (size_t src = src_of_dst[dst]; src != start; src = src_of_dst[dst]) {
+      std::copy_n(s1 + src * w, w, s1 + dst * w);
+      pending[src] = 0;
+      dst = src;
+    }
+    std::copy_n(held.data(), w, s1 + dst * w);
+  }
+  // oblivious-ok-end
+  // Fresh masks in destination word order, two per 64-bit draw.
+  size_t i = 0;
+  for (; i + 1 < words; i += 2) {
+    const uint64_t m = internal_rng_.Next64();
+    s0[i] = static_cast<Word>(m);
+    s1[i] ^= static_cast<Word>(m);
+    s0[i + 1] = static_cast<Word>(m >> 32);
+    s1[i + 1] ^= static_cast<Word>(m >> 32);
+  }
+  if (i < words) {
+    const Word m = static_cast<Word>(internal_rng_.Next64());
+    s0[i] = m;
+    s1[i] ^= m;
+  }
+}
 
 void Protocol2PC::AccountCompareExchangeBatch(uint64_t ops, size_t width,
                                               bool lex) {
@@ -203,16 +202,6 @@ void Protocol2PC::AccountMuxSwapBatch(uint64_t ops, size_t width) {
   if (batch_trace_enabled_) {
     batch_trace_.push_back({BatchTraceEvent::Kind::kMuxSwap, ops,
                             CircuitStats{gates, 0, 0, 0}});
-  }
-}
-
-void Protocol2PC::MuxRowsBatch(SharedRows* rows, const RowPair* pairs,
-                               const WordShares* swap_bits, size_t count) {
-  if (count == 0) return;
-  AccountMuxSwapBatch(count, rows->width());
-  for (size_t p = 0; p < count; ++p) {
-    const Word bit = RecoverInside(swap_bits[p]) & 1;
-    MuxSwapSite(rows, pairs[p].a, pairs[p].b, bit != 0);
   }
 }
 

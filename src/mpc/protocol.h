@@ -37,14 +37,14 @@ struct CountWhereTask {
 
 /// One entry of the (opt-in) batch trace: a batched submission recorded as a
 /// single event carrying its exact aggregate circuit cost. The sum of event
-/// costs over a phase is bit-identical to the scalar path's running
-/// CircuitStats for the same ops — batching amortizes the bookkeeping, it
-/// never changes the totals.
+/// costs over a phase equals what charging each of its ops separately would
+/// add to CircuitStats — batching amortizes the bookkeeping, it never
+/// changes the totals.
 struct BatchTraceEvent {
   enum class Kind : uint8_t {
-    kCompareExchange,     ///< batched CompareExchangeRows sites
-    kCompareExchangeLex,  ///< batched CompareExchangeRowsLex sites
-    kMuxSwap,             ///< batched MuxSwapRows sites
+    kCompareExchange,     ///< one sorting-network layer (single key)
+    kCompareExchangeLex,  ///< one sorting-network layer (lexicographic)
+    kMuxSwap,             ///< one permutation-network layer of switches
     kCountWhere,          ///< batched oblivious COUNT tasks
   };
 
@@ -64,7 +64,10 @@ struct BatchTraceEvent {
 /// result is re-shared with fresh randomness derived from both parties'
 /// contributed seeds, and the circuit cost (AND gates, communicated bytes,
 /// rounds) of the equivalent garbled-circuit protocol is charged to the
-/// running `CircuitStats`. Consequently:
+/// running `CircuitStats`. Whole networks follow the same model at row
+/// granularity: a sort or shuffle computes its permutation inside the
+/// functionality, charges every layer of the network it stands for, and
+/// moves the rows once (PermuteAndReshare). Consequently:
 ///  * each party's local state is always a stream of uniformly random shares
 ///    (tested in `tests/mpc_test.cc`), and
 ///  * control flow is data-independent — the same gate trace is produced for
@@ -153,136 +156,51 @@ class Protocol2PC {
   void SetRowWord(SharedRows* rows, size_t row, size_t col,
                   const WordShares& v);
 
-  /// Obliviously swaps rows i and j iff the shared bit `swap` is 1, using the
-  /// XOR-swap circuit: one AND gate per payload bit.
-  void MuxSwapRows(SharedRows* rows, size_t i, size_t j,
-                   const WordShares& swap);
-
-  /// Compare-exchange for oblivious sorting networks: orders rows i and j by
-  /// the 32-bit key in `key_col` (ascending if `ascending`). Ties keep the
-  /// original order. Cost: one comparison + one row mux-swap.
-  void CompareExchangeRows(SharedRows* rows, size_t i, size_t j,
-                           size_t key_col, bool ascending);
-
-  /// Lexicographic compare-exchange on (major_col, minor_col). Used where a
-  /// total deterministic order is required (sorting networks are not stable,
-  /// so ties must be broken inside the comparator). Cost: two comparisons,
-  /// one equality, two gate-level combines, one row mux-swap.
-  void CompareExchangeRowsLex(SharedRows* rows, size_t i, size_t j,
-                              size_t major_col, size_t minor_col,
-                              bool ascending);
-
   /// Sums column `col` over all rows (used for oblivious COUNT over isView
   /// bits). Returns a sharing of the sum.
   WordShares SumColumn(const SharedRows& rows, size_t col);
 
   // ------------------------------------------------------------------
-  // Batched oblivious primitives (layer-vectorized execution)
+  // Batched oblivious primitives
   //
-  // Each batch call is bit-identical to issuing its scalar ops in pair
-  // order: the site kernels below draw their resharing masks inline from
-  // the internal stream in exactly the scalar word order, and the
-  // aggregate circuit cost is charged once per batch — totals equal to the
-  // scalar sum.
+  // Sorting and permutation networks run as the ideal functionality they
+  // stand for: the caller computes the network's permutation inside the
+  // functionality, charges the network's exact per-layer circuit cost, and
+  // moves the secret rows once through PermuteAndReshare.
   // ------------------------------------------------------------------
 
-  /// Draws `count` words from the internal resharing stream — the exact
-  /// sequence the scalar ops would have consumed one Reshare at a time.
-  /// The entry point for randomness the oblivious layer consumes outside
-  /// the site kernels (tools/check_no_hidden_entropy.sh enforces this).
+  /// Draws `count` words from the internal resharing stream. The entry
+  /// point for the public randomness that programs shuffles
+  /// (DrawPublicPermutation); tools/check_no_hidden_entropy.sh enforces
+  /// that the oblivious layer draws nothing else outside this class.
   void DrawReshareMasks(size_t count, Word* out) {
     for (size_t i = 0; i < count; ++i) out[i] = internal_rng_.Next32();
   }
 
-  /// Single-key out-of-order predicate of the compare-exchange sites.
-  static bool KeyOutOfOrder(const SharedRows& rows, size_t i, size_t j,
-                            size_t key_col, bool ascending) {
-    const Word ki = rows.share0_at(i, key_col) ^ rows.share1_at(i, key_col);
-    const Word kj = rows.share0_at(j, key_col) ^ rows.share1_at(j, key_col);
-    return ascending ? (kj < ki) : (ki < kj);
-  }
-
-  /// Lexicographic (major, minor) out-of-order predicate — ditto.
-  static bool LexOutOfOrder(const SharedRows& rows, size_t i, size_t j,
-                            size_t major_col, size_t minor_col,
-                            bool ascending) {
-    const Word mi = rows.share0_at(i, major_col) ^ rows.share1_at(i, major_col);
-    const Word mj = rows.share0_at(j, major_col) ^ rows.share1_at(j, major_col);
-    const Word ni = rows.share0_at(i, minor_col) ^ rows.share1_at(i, minor_col);
-    const Word nj = rows.share0_at(j, minor_col) ^ rows.share1_at(j, minor_col);
-    const bool i_greater = mi > mj || (mi == mj && ni > nj);
-    const bool j_greater = mj > mi || (mj == mi && nj > ni);
-    return ascending ? i_greater : j_greater;
-  }
-
-  // Site kernels: the exact scalar data path — resharing masks drawn
-  // inline from the internal stream in scalar word order, no scratch
-  // buffer — minus the per-op accounting, which the batch charges in
-  // aggregate. Inline: these are the innermost hot loops of every
-  // oblivious sort and shuffle.
-
-  /// Mux-swap site (scalar MuxSwapRows minus accounting).
-  void MuxSwapSite(SharedRows* rows, size_t i, size_t j, bool do_swap) {
-    const size_t w = rows->width();
-    Word* s0 = rows->mutable_share0();
-    Word* s1 = rows->mutable_share1();
-    Word* r0i = s0 + i * w;
-    Word* r1i = s1 + i * w;
-    Word* r0j = s0 + j * w;
-    Word* r1j = s1 + j * w;
-    for (size_t c = 0; c < w; ++c) {
-      const Word a = r0i[c] ^ r1i[c];
-      const Word b = r0j[c] ^ r1j[c];
-      // oblivious-ok: ideal-functionality XOR-swap kernel — the batch charged
-      // the per-bit AND cost in aggregate; both rows get fresh masks either way
-      const Word new_i = do_swap ? b : a;
-      // oblivious-ok: same site, second arm of the swap
-      const Word new_j = do_swap ? a : b;
-      const Word mi = internal_rng_.Next32();
-      const Word mj = internal_rng_.Next32();
-      r0i[c] = mi;
-      r1i[c] = new_i ^ mi;
-      r0j[c] = mj;
-      r1j[c] = new_j ^ mj;
-    }
-  }
-
-  /// Compare-exchange site (the swap-bit reshare is drawn and discarded
-  /// exactly as the scalar op does).
-  void CompareExchangeSite(SharedRows* rows, size_t i, size_t j,
-                           size_t key_col, bool ascending) {
-    const bool out_of_order = KeyOutOfOrder(*rows, i, j, key_col, ascending);
-    internal_rng_.Next32();  // swap-bit reshare (stream alignment)
-    MuxSwapSite(rows, i, j, out_of_order);
-  }
-
-  /// Lexicographic compare-exchange site.
-  void CompareExchangeLexSite(SharedRows* rows, size_t i, size_t j,
-                              size_t major_col, size_t minor_col,
-                              bool ascending) {
-    const bool out_of_order =
-        LexOutOfOrder(*rows, i, j, major_col, minor_col, ascending);
-    internal_rng_.Next32();  // swap-bit reshare (stream alignment)
-    MuxSwapSite(rows, i, j, out_of_order);
-  }
+  /// The one row-moving kernel of every sorting and permutation network:
+  /// rows'[k] = rows[src_of_dst[k]] for k in [0, n), with every output
+  /// word re-shared under a fresh mask. `src_of_dst` must be a permutation
+  /// of [0, n); it is plaintext inside the functionality (a sort's
+  /// permutation is secret, a shuffle's is public) and never leaves it.
+  /// The masks are drawn in destination word order, two 32-bit masks per
+  /// `Next64`, ceil(n*w/2) draws per call: S0's output shares and the
+  /// stream cursor are pure functions of the public shape (n, w). The
+  /// rows are rearranged in place (cycle by cycle), so the only scratch is
+  /// one row and n flags. Charges nothing; the caller charges its network.
+  void PermuteAndReshare(SharedRows* rows, const uint32_t* src_of_dst);
 
   /// Charges the exact aggregate cost of `ops` fused (lex) compare-exchange
   /// sites over rows of `width` words and records one batch trace event.
   void AccountCompareExchangeBatch(uint64_t ops, size_t width, bool lex);
 
   /// Charges the exact aggregate cost of `ops` fused mux-swap sites over
-  /// rows of `width` words and records one batch trace event. MuxRowsBatch
-  /// charges through this; the permutation-network switches it runs for
-  /// src/oblivious/shuffle.cc are mux-swaps with publicly programmed
-  /// control bits: the conditional swap still runs the full per-bit AND
-  /// circuit — hiding *whether* each switch crossed is exactly what keeps
-  /// the realized permutation secret from the evaluator.
+  /// rows of `width` words and records one batch trace event. The
+  /// permutation-network switches of src/oblivious/shuffle.cc are mux-swaps
+  /// with publicly programmed control bits: the conditional swap still
+  /// costs the full per-bit AND circuit, because hiding *whether* each
+  /// switch crossed is what keeps the realized permutation secret from the
+  /// evaluator.
   void AccountMuxSwapBatch(uint64_t ops, size_t width);
-
-  /// Batched MuxSwapRows: obliviously swaps each disjoint pair iff its
-  /// shared `swap_bits` entry is 1. Bit-identical to the scalar sequence.
-  void MuxRowsBatch(SharedRows* rows, const RowPair* pairs,
-                    const WordShares* swap_bits, size_t count);
 
   /// Batched oblivious COUNT: evaluates `count` CountWhereTasks with one
   /// aggregate accounting event; `out[k]` receives task k's fresh sharing.

@@ -3,17 +3,8 @@
 #include <algorithm>
 
 #include "src/oblivious/formats.h"
-#include "src/oblivious/sort.h"
 
 namespace incshrink {
-
-SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
-                              size_t read_size) {
-  // Fig. 3: oblivious sort moves all real tuples to the head (FIFO order),
-  // dummies to the tail; then cut off the first `read_size` elements.
-  ObliviousSort(proto, cache, kViewSortKeyCol, /*ascending=*/false);
-  return TakeSortedPrefix(proto, cache, read_size);
-}
 
 SharedRows TakeSortedPrefix(Protocol2PC* proto, SharedRows* cache,
                             size_t read_size) {
@@ -22,12 +13,6 @@ SharedRows TakeSortedPrefix(Protocol2PC* proto, SharedRows* cache,
   proto->AccountBytes(read_size * cache->width() * sizeof(Word) * 2);
   proto->AccountRounds(1);
   return cache->SplitPrefix(read_size);
-}
-
-SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
-                      size_t flush_size) {
-  ObliviousSort(proto, cache, kViewSortKeyCol, /*ascending=*/false);
-  return TakeFlushPrefix(proto, cache, flush_size);
 }
 
 SharedRows TakeFlushPrefix(Protocol2PC* proto, SharedRows* cache,

@@ -15,32 +15,23 @@ namespace incshrink {
 /// tuples ahead of dummies, FIFO among real tuples) and then cuts a prefix
 /// of *public* length.
 
-/// Oblivious cache read: sorts `cache` and removes its first `read_size`
-/// rows, returning them. `read_size` is public (it is the DP-noised batch
-/// size released by Shrink); it is clamped to the cache size.
-SharedRows ObliviousCacheRead(Protocol2PC* proto, SharedRows* cache,
-                              size_t read_size);
-
-/// Post-sort half of ObliviousCacheRead, split out so the sort itself can
-/// run as one job of a multi-shard submission:
-/// charges the share-transfer cost and cuts the public-size prefix. The
-/// caller must have sorted `cache` by the cache key (descending) first.
-/// ObliviousCacheRead == ObliviousSort + TakeSortedPrefix, bit for bit.
+/// Oblivious cache read, post-sort half (Fig. 3): the caller has sorted
+/// `cache` by the cache key, descending — real tuples ahead of dummies,
+/// FIFO among real tuples — usually as one job of a multi-shard sort
+/// submission. Charges the share-transfer cost and cuts the first
+/// `read_size` rows, returning them. `read_size` is public (it is the
+/// DP-noised batch size released by Shrink); it is clamped to the cache
+/// size.
 SharedRows TakeSortedPrefix(Protocol2PC* proto, SharedRows* cache,
                             size_t read_size);
 
-/// Cache flush (Section 5.2.1): sorts the cache, fetches the first
-/// `flush_size` rows, and recycles (drops) the remainder — including, with
-/// small probability, deferred real tuples. Returns the fetched rows.
-SharedRows CacheFlush(Protocol2PC* proto, SharedRows* cache,
-                      size_t flush_size);
-
-/// Post-sort half of CacheFlush (fetch the fixed prefix, recycle the rest),
-/// for flush sorts executed through a multi-shard submission. Under
-/// `sort_algorithm = shuffle_sort` the engine's flush replaces the sort
-/// with one random Waksman shuffle (ObliviousRandomPermute): the prefix cut
-/// is public-size and recycling is lossy by design, so any secret
-/// permutation randomizes which rows are fetched versus recycled.
+/// Cache flush (Section 5.2.1), post-sort half: fetches the first
+/// `flush_size` rows of the sorted cache and recycles (drops) the
+/// remainder — including, with small probability, deferred real tuples.
+/// Under `sort_algorithm = shuffle_sort` the engine's flush replaces the
+/// sort with one random Waksman shuffle (ObliviousRandomPermute): the
+/// prefix cut is public-size and recycling is lossy by design, so any
+/// secret permutation randomizes which rows are fetched versus recycled.
 SharedRows TakeFlushPrefix(Protocol2PC* proto, SharedRows* cache,
                            size_t flush_size);
 

@@ -27,6 +27,24 @@ uint64_t DepthRec(size_t n) {
   return 2 + DepthRec(n - n / 2);
 }
 
+/// Adds the switch counts of the n-wire block, whose first layer is
+/// `base`, into `sizes` (already DepthRec(total) long): the input column at
+/// `base`, both subnets from base + 1, and the output column after the
+/// deeper (bottom) subnet — the layer placement RouteBlock programs.
+void LayerSizesRec(size_t n, size_t base, std::vector<uint64_t>* sizes) {
+  if (n < 2) return;
+  if (n == 2) {
+    (*sizes)[base] += 1;
+    return;
+  }
+  const size_t half = n / 2;
+  const size_t bot_n = n - half;
+  (*sizes)[base] += half;
+  LayerSizesRec(half, base + 1, sizes);
+  LayerSizesRec(bot_n, base + 1, sizes);
+  (*sizes)[base + 1 + DepthRec(bot_n)] += (n % 2 == 0) ? half - 1 : half;
+}
+
 /// Routes one n-wire AS-Waksman block over the physical row slots
 /// pos[0..n), realizing slot[k] = old slot[perm[k]] (both indices local to
 /// the block), and appends its programmed switches into layers
@@ -159,9 +177,9 @@ std::vector<uint32_t> ArgsortKeysInside(Protocol2PC* proto,
   }
   proto->AccountAndGates(ShuffleSortComparisons(n) * kWordBits);
   // Ideal-functionality argsort: the comparison budget is charged above as a
-  // fixed function of n, and the outcomes feed only the control bits of the
+  // fixed function of n, and the outcomes feed only the permutation of the
   // second Waksman pass, whose switch count, layer structure and mask-draw
-  // counts are pure functions of n; the observable trace stays
+  // count are pure functions of n; the observable trace stays
   // input-invariant (tests/shuffle_test.cc pins this).
   std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
     return ascending ? keys[a] < keys[b] : keys[b] < keys[a];
@@ -193,14 +211,8 @@ uint64_t ShuffleNetworkSwitches(size_t n) { return SwitchesRec(n); }
 uint64_t ShuffleNetworkDepth(size_t n) { return DepthRec(n); }
 
 std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n) {
-  // Topology is permutation-independent, so the identity network carries
-  // the layer structure of every n-row shuffle.
-  std::vector<uint32_t> identity(n);
-  for (size_t i = 0; i < n; ++i) identity[i] = static_cast<uint32_t>(i);
-  std::vector<uint64_t> sizes;
-  for (const auto& layer : WaksmanNetwork(identity)) {
-    sizes.push_back(layer.size());
-  }
+  std::vector<uint64_t> sizes(DepthRec(n), 0);
+  LayerSizesRec(n, 0, &sizes);
   return sizes;
 }
 
@@ -232,22 +244,13 @@ void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm) {
   INCSHRINK_CHECK_EQ(perm.size(), rows->size());
   if (rows->size() < 2) return;
-  std::vector<RowPair> pairs;
-  std::vector<WordShares> bits;
-  for (const std::vector<ProgrammedSwitch>& layer : WaksmanNetwork(perm)) {
-    if (layer.empty()) continue;
-    pairs.clear();
-    bits.clear();
-    pairs.reserve(layer.size());
-    bits.reserve(layer.size());
-    for (const ProgrammedSwitch& sw : layer) {
-      pairs.push_back(sw.pair);
-      // Public control bit as a constant sharing: the mux-swap circuit runs
-      // either way, so cost and trace depend on the switch count only.
-      bits.push_back(Protocol2PC::ConstShare(sw.swap ? 1 : 0));
-    }
-    proto->MuxRowsBatch(rows, pairs.data(), bits.data(), pairs.size());
+  // Every switch of the n-row network is charged, layer by layer, whatever
+  // its control bit: the topology is a pure function of n. The rows then
+  // move once, re-masked, as the programmed network would leave them.
+  for (const uint64_t switches : ShuffleNetworkLayerSizes(rows->size())) {
+    if (switches > 0) proto->AccountMuxSwapBatch(switches, rows->width());
   }
+  proto->PermuteAndReshare(rows, perm.data());
 }
 
 void ObliviousRandomPermuteBatch(PermuteJob* jobs, size_t num_jobs,

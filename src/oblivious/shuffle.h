@@ -24,18 +24,20 @@ namespace incshrink {
 /// switch crossed is what keeps the realized permutation secret from the
 /// evaluating servers.
 ///
-/// Execution model mirrors src/oblivious/sort.cc: the network runs layer by
-/// layer (the layers of `WaksmanNetwork(perm)`) on the calling thread,
-/// every layer's switches touch pairwise-disjoint rows, and each layer is
-/// one batched `MuxRowsBatch` submission — inline-draw site kernels in
-/// scalar site order, aggregate cost charged once per layer. The only parallelism is
-/// across the jobs of a multi-job submission (BatchExec), so output shares,
-/// the internal randomness stream and the aggregate circuit cost are
-/// bit-identical at any thread count (tests/shuffle_test.cc).
+/// Execution model mirrors src/oblivious/sort.cc: a shuffle runs as the
+/// ideal functionality of its programmed network, on the calling thread.
+/// Every layer of the n-row network is charged as one aggregate mux-swap
+/// event (the topology, hence every charge, is a pure function of n), and
+/// the rows then move once through Protocol2PC::PermuteAndReshare, every
+/// output word under a fresh mask — the switches themselves are never run.
+/// WaksmanNetwork is the routing program that charge stands for; the tests
+/// check that it realizes any permutation with exactly the charged layers.
+/// The only parallelism is across the jobs of a multi-job submission
+/// (BatchExec), so output shares, the internal randomness stream and the
+/// aggregate circuit cost are bit-identical at any thread count
+/// (tests/shuffle_test.cc).
 ///
-/// The network *topology* (switch placement, layer sizes, depth) is a pure
-/// function of n; only the control bits depend on the permutation. The
-/// permutation itself is drawn exclusively through DrawReshareMasks
+/// The permutation itself is drawn exclusively through DrawReshareMasks
 /// (tools/check_no_hidden_entropy.sh pins this), so every draw count is a
 /// pure function of n too and the whole circuit trace is input-invariant.
 
@@ -64,9 +66,10 @@ uint64_t ShuffleNetworkSwitches(size_t n);
 /// d(n) = 2 + d(ceil(n/2)).
 uint64_t ShuffleNetworkDepth(size_t n);
 
-/// Per-layer switch counts in execution order; sums to
-/// ShuffleNetworkSwitches(n). Drives the bench layer histogram and the
-/// layer property tests.
+/// Per-layer switch counts in execution order, from the closed-form
+/// recursion (no routing); sums to ShuffleNetworkSwitches(n). ObliviousShuffle
+/// charges one batch per non-empty entry; the tests pin it against the
+/// layers WaksmanNetwork programs.
 std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n);
 
 /// Draws a uniformly random public permutation of [0, n) from the
@@ -79,8 +82,9 @@ std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n);
 /// secret-shared payload.
 std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n);
 
-/// Applies `perm` to `rows` obliviously (rows'[k] = rows[perm[k]]) through
-/// the programmed Waksman network, one MuxRowsBatch submission per layer.
+/// Applies `perm` to `rows` obliviously (rows'[k] = rows[perm[k]]): charges
+/// the n-row Waksman network one AccountMuxSwapBatch per layer, then moves
+/// the rows once through PermuteAndReshare.
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm);
 

@@ -8,12 +8,11 @@ namespace incshrink {
 namespace {
 
 /// Visits every compare-exchange (a, b) of one layer — one (p, k) pass —
-/// of Batcher's odd-even merge network for n rows, in scalar execution
-/// order. This is the single definition of the network's index math
-/// (including the `a / (p*2) == b / (p*2)` block guard): the scalar
-/// reference path, the layer listing and the serial network all funnel
-/// through it, so the batched/scalar bit-equality contract has exactly one
-/// loop nest to keep correct.
+/// of Batcher's odd-even merge network for n rows, in execution order.
+/// This is the single definition of the network's index math (including
+/// the `a / (p*2) == b / (p*2)` block guard): the sort itself, the layer
+/// listing and the compare-exchange count all funnel through it, so the
+/// charged network and the computed permutation cannot drift apart.
 template <typename Visitor>
 void VisitLayerPairs(size_t n, size_t p, size_t k, Visitor&& visit) {
   for (size_t j = k % p; j + k < n; j += 2 * k) {
@@ -51,42 +50,56 @@ void ForEachLayer(size_t n, LayerVisitor&& visit) {
   } while (AdvanceLayer(n, &p, &k));
 }
 
-/// Visits every compare-exchange of the whole network, in execution order
-/// (scalar reference order).
+/// Visits every compare-exchange of the whole network, in execution order.
 template <typename Visitor>
 void ForEachCompareExchange(size_t n, Visitor&& visit) {
   ForEachLayer(n,
                [&](size_t p, size_t k) { VisitLayerPairs(n, p, k, visit); });
 }
 
-/// Runs one sort through the serial network: walks the (p, k) layers with
-/// inline index math — no pair materialization, no mask buffer — through
-/// the inline-draw site kernels (== scalar draw order), and charges each
-/// layer's aggregate cost once. Accounting touches no protocol randomness,
-/// so charging after a layer's sites instead of before commits identical
-/// state.
+/// Runs one sort as the ideal functionality of Batcher's network: the keys
+/// are recovered inside the functionality into one packed word per row
+/// (major << 32 | minor; minor is 0 for single-key sorts, and descending
+/// sorts complement the word so the network always runs ascending), the
+/// unchanged network runs on (key, source index) pairs with a branch-free
+/// swap — exactly the compare-exchanges, and so exactly the tie order, of
+/// the row network — and the rows move once, re-masked, through
+/// PermuteAndReshare. Each non-empty layer is charged as one aggregate
+/// event, as if its compare-exchanges had run on the rows.
 void SerialSortSingle(const SortJob& job) {
   const size_t n = job.rows->size();
-  Protocol2PC* proto = job.proto;
-  SharedRows* rows = job.rows;
+  if (n < 2) return;
+  const SharedRows& rows = *job.rows;
+  const uint64_t flip = job.ascending ? 0 : ~uint64_t{0};
+  std::vector<uint64_t> keys(n);
+  std::vector<uint32_t> src(n);
+  for (size_t r = 0; r < n; ++r) {
+    const uint64_t major =
+        rows.share0_at(r, job.key_col) ^ rows.share1_at(r, job.key_col);
+    const uint64_t minor =
+        job.lex ? rows.share0_at(r, job.minor_col) ^
+                      rows.share1_at(r, job.minor_col)
+                : 0;
+    keys[r] = ((major << 32) | minor) ^ flip;
+    src[r] = static_cast<uint32_t>(r);
+  }
   ForEachLayer(n, [&](size_t p, size_t k) {
     uint64_t ops = 0;
-    if (job.lex) {
-      VisitLayerPairs(n, p, k, [&](size_t a, size_t b) {
-        proto->CompareExchangeLexSite(rows, a, b, job.key_col, job.minor_col,
-                                      job.ascending);
-        ++ops;
-      });
-    } else {
-      VisitLayerPairs(n, p, k, [&](size_t a, size_t b) {
-        proto->CompareExchangeSite(rows, a, b, job.key_col, job.ascending);
-        ++ops;
-      });
-    }
+    VisitLayerPairs(n, p, k, [&](size_t a, size_t b) {
+      const uint64_t swap = 0 - static_cast<uint64_t>(keys[b] < keys[a]);
+      const uint64_t dk = (keys[a] ^ keys[b]) & swap;
+      keys[a] ^= dk;
+      keys[b] ^= dk;
+      const uint32_t di = (src[a] ^ src[b]) & static_cast<uint32_t>(swap);
+      src[a] ^= di;
+      src[b] ^= di;
+      ++ops;
+    });
     if (ops > 0) {
-      proto->AccountCompareExchangeBatch(ops, rows->width(), job.lex);
+      job.proto->AccountCompareExchangeBatch(ops, rows.width(), job.lex);
     }
   });
+  job.proto->PermuteAndReshare(job.rows, src.data());
 }
 
 }  // namespace
@@ -112,22 +125,6 @@ void ObliviousSortLex(Protocol2PC* proto, SharedRows* rows, size_t major_col,
                       size_t minor_col, bool ascending) {
   SerialSortSingle(
       {proto, rows, major_col, minor_col, /*lex=*/true, ascending});
-}
-
-void ObliviousSortScalar(Protocol2PC* proto, SharedRows* rows, size_t key_col,
-                         bool ascending) {
-  ForEachCompareExchange(rows->size(), [&](size_t a, size_t b) {
-    proto->CompareExchangeRows(rows, a, b, key_col, ascending);
-  });
-}
-
-void ObliviousSortLexScalar(Protocol2PC* proto, SharedRows* rows,
-                            size_t major_col, size_t minor_col,
-                            bool ascending) {
-  ForEachCompareExchange(rows->size(), [&](size_t a, size_t b) {
-    proto->CompareExchangeRowsLex(rows, a, b, major_col, minor_col,
-                                  ascending);
-  });
 }
 
 uint64_t SortNetworkCompareExchanges(size_t n) {

@@ -22,12 +22,15 @@ namespace incshrink {
 /// comparison plus one row-width mux-swap, matching the sort-network costs
 /// the paper's EMP implementation pays.
 ///
-/// Execution model: the network runs **layer by layer** — one layer per
-/// (p, k) pass of the network, whose compare-exchange pairs are disjoint by
-/// construction — on the calling thread, through the protocol's inline-draw
-/// site kernels: one aggregate cost event per layer instead of a per-gate
-/// charge. Output shares, the internal randomness stream and the aggregate
-/// circuit cost are bit-identical to the scalar per-op path
+/// Execution model: the sort runs as the ideal functionality of that
+/// network, on the calling thread. The keys are recovered inside the
+/// functionality, the network's compare-exchanges run layer by layer — one
+/// layer per (p, k) pass, pairs disjoint by construction — on a packed
+/// (key, row index) array, and the secret rows then move once through
+/// Protocol2PC::PermuteAndReshare, every output word under a fresh mask.
+/// Each non-empty layer is charged as one aggregate cost event, so gates,
+/// bytes, rounds and the batch trace are those of running the network on
+/// the rows; the output order, ties included, is exactly Batcher's
 /// (tests/batched_oblivious_test.cc). The only parallelism is across the
 /// jobs of a multi-job submission (BatchExec).
 
@@ -115,22 +118,13 @@ struct SortJob {
 };
 
 /// Multi-job sort submission (cross-shard / cross-tenant): runs every job
-/// whole — Batcher jobs through the serial network, shuffle-sort jobs
+/// whole — Batcher jobs through the network above, shuffle-sort jobs
 /// through ObliviousShuffleSort — and fans the jobs out over `exec` (see
 /// BatchExec::RunJobs). Each job's output shares, randomness stream and
 /// aggregate cost are bit-identical to running it alone, at any thread
 /// count and any job mix.
 void ObliviousSortBatch(SortJob* jobs, size_t num_jobs,
                         const BatchExec& exec = {});
-
-/// Scalar reference path: the pre-batching per-compare-exchange
-/// implementation, kept for equivalence tests and scalar-vs-batched
-/// benchmarks. Bit-identical to the batched path by construction.
-void ObliviousSortScalar(Protocol2PC* proto, SharedRows* rows, size_t key_col,
-                         bool ascending);
-void ObliviousSortLexScalar(Protocol2PC* proto, SharedRows* rows,
-                            size_t major_col, size_t minor_col,
-                            bool ascending);
 
 /// Returns the number of compare-exchanges the network performs for `n` rows
 /// (exposed for cost analysis and tests).
@@ -142,7 +136,8 @@ uint64_t SortNetworkCompareExchanges(size_t n);
 std::vector<uint64_t> SortNetworkLayerSizes(size_t n);
 
 /// Materializes the network's layers as explicit pair lists (test access:
-/// the layer-disjointness and scalar-order properties are asserted on it).
+/// the layer-disjointness property and the plaintext reference sort are
+/// built on it).
 std::vector<std::vector<RowPair>> SortNetworkLayers(size_t n);
 
 }  // namespace incshrink

@@ -1,13 +1,16 @@
-// Batched-oblivious-execution equivalence suite: the layer-vectorized batch
-// path must be *bit-identical* to the scalar per-op path — same output
-// shares, same revealed values, same internal randomness stream, same
-// aggregate circuit cost — at any thread count and any batch threshold.
+// Batched-oblivious-execution suite: a sort runs as the ideal
+// functionality of Batcher's network — plaintext permutation, one gather,
+// one reshare per output word — and must be indistinguishable from running
+// the network on the rows in everything but the share bits:
 //
 //   * layer structure: every (p, k) pass of Batcher's network is one batch
 //     whose pairs are disjoint; per-layer sizes sum to the total
 //     compare-exchange count for every n in [0, 257];
-//   * kernel equality: batched sort / lex-sort / mux / count vs their
-//     scalar reference implementations;
+//   * value contract: sort / lex-sort outputs equal a plaintext Batcher
+//     reference on keys with many ties (so tie order is pinned), the cost
+//     and per-layer trace equal the per-gate network's, and every output
+//     word carries a fresh mask from the protocol stream;
+//   * count kernel equality: CountWhereBatch vs per-task counts;
 //   * multi-job submissions: ObliviousSortBatch over many jobs, fanned out
 //     at 1 / 2 / 8 threads, equals each job sorted alone;
 //   * engine equality: the `oblivious_batch_min_layer` knob is inert for
@@ -31,6 +34,7 @@
 #include "src/oblivious/formats.h"
 #include "src/oblivious/sort.h"
 #include "src/workload/generators.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {
@@ -117,7 +121,7 @@ TEST(SortNetworkLayerTest, PowerOfTwoLayerCountIsLogSquaredTriangle) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched vs scalar kernels (sort / lex-sort / mux / count)
+// Value contract of the ideal-functionality sort, and the count kernel
 // ---------------------------------------------------------------------------
 
 struct ProtoPair {
@@ -125,81 +129,134 @@ struct ProtoPair {
   Protocol2PC proto{&s0, &s1, CostModel::EmpLikeLan()};
 };
 
-TEST(BatchedScalarEquivalenceTest, SortMatchesScalarBitForBit) {
-  for (const size_t n : {0u, 1u, 2u, 3u, 5u, 64u, 100u, 257u}) {
+/// Rows of width 4: (major in [0, 5), minor in [0, 3), row id, random).
+/// With at most 15 distinct (major, minor) keys, every n > 15 has ties, and
+/// the unique row id makes the order among tied rows visible.
+SharedRows TiedRows(Rng* rng, size_t n) {
+  SharedRows rows(4);
+  for (size_t i = 0; i < n; ++i) {
+    rows.AppendSecretRow({rng->Next32() % 5, rng->Next32() % 3,
+                          static_cast<Word>(i), rng->Next32()},
+                         rng);
+  }
+  return rows;
+}
+
+std::vector<std::vector<Word>> RecoverAll(const SharedRows& rows) {
+  std::vector<std::vector<Word>> out;
+  for (size_t r = 0; r < rows.size(); ++r) out.push_back(rows.RecoverRow(r));
+  return out;
+}
+
+/// The masks the next ceil(words/2) 64-bit draws of `stream` yield, two per
+/// draw, low half first: what S0 must hold after one PermuteAndReshare.
+std::vector<Word> NextMasks(Rng* stream, size_t words) {
+  std::vector<Word> masks;
+  while (masks.size() < words) {
+    const uint64_t m = stream->Next64();
+    masks.push_back(static_cast<Word>(m));
+    masks.push_back(static_cast<Word>(m >> 32));
+  }
+  masks.resize(words);
+  return masks;
+}
+
+/// Sorts `input` through the ideal-functionality kernel and through the
+/// per-gate network on the rows, and checks the value contract: recovered
+/// output equal to the plaintext Batcher reference (ties included), cost
+/// and per-layer trace equal to the per-gate network's, and S0 equal to the
+/// fresh mask stream (every output word re-masked).
+void ExpectSortValueContract(const SharedRows& input, bool lex,
+                             bool ascending) {
+  const size_t n = input.size();
+  const BatchTraceEvent::Kind kind =
+      lex ? BatchTraceEvent::Kind::kCompareExchangeLex
+          : BatchTraceEvent::Kind::kCompareExchange;
+
+  ProtoPair per_gate;
+  SharedRows a = input;
+  if (lex) {
+    ObliviousSortLexScalar(&per_gate.proto, &a, 0, 1, ascending);
+  } else {
+    ObliviousSortScalar(&per_gate.proto, &a, 0, ascending);
+  }
+
+  ProtoPair ideal;
+  ideal.proto.EnableBatchTrace(true);
+  Rng stream = *ideal.proto.internal_rng();
+  SharedRows b = input;
+  if (lex) {
+    ObliviousSortLex(&ideal.proto, &b, 0, 1, ascending);
+  } else {
+    ObliviousSort(&ideal.proto, &b, 0, ascending);
+  }
+
+  const auto want = PlaintextBatcherSort(input, 0, 1, lex, ascending);
+  EXPECT_EQ(RecoverAll(b), want);
+  EXPECT_EQ(RecoverAll(a), want);  // the reference agrees with the network
+  ExpectStatsEqual(per_gate.proto.Snapshot(), ideal.proto.Snapshot());
+
+  // One event per non-empty layer, in layer order, with that layer's ops.
+  std::vector<uint64_t> layer_ops;
+  for (const uint64_t s : SortNetworkLayerSizes(n)) {
+    if (s > 0) layer_ops.push_back(s);
+  }
+  const uint64_t per_op = (lex ? 3 * kWordBits + 2 : kWordBits) +
+                          input.width() * kWordBits;
+  ASSERT_EQ(ideal.proto.batch_trace().size(), layer_ops.size());
+  for (size_t l = 0; l < layer_ops.size(); ++l) {
+    const BatchTraceEvent& e = ideal.proto.batch_trace()[l];
+    EXPECT_EQ(e.kind, kind) << "layer " << l;
+    EXPECT_EQ(e.ops, layer_ops[l]) << "layer " << l;
+    EXPECT_EQ(e.cost.and_gates, layer_ops[l] * per_op) << "layer " << l;
+  }
+
+  if (n < 2) {
+    // No network, no rows moved: shares and stream untouched.
+    ExpectRowsIdentical(input, b);
+    EXPECT_EQ(ideal.proto.internal_rng()->Next64(), stream.Next64());
+    return;
+  }
+  EXPECT_EQ(b.shares0(), NextMasks(&stream, n * input.width()));
+  EXPECT_EQ(ideal.proto.internal_rng()->Next64(), stream.Next64());
+}
+
+TEST(IdealSortContractTest, SortMatchesPlaintextBatcherWithTies) {
+  for (const bool ascending : {true, false}) {
+    for (const size_t n : {0u, 1u, 2u, 3u, 5u, 16u, 64u, 100u, 257u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (ascending ? " asc" : " desc"));
+      Rng data_rng(7 + n);
+      ExpectSortValueContract(TiedRows(&data_rng, n), /*lex=*/false,
+                              ascending);
+    }
+  }
+}
+
+TEST(IdealSortContractTest, LexSortMatchesPlaintextBatcherWithTies) {
+  for (const bool ascending : {true, false}) {
+    for (const size_t n : {0u, 2u, 5u, 16u, 64u, 100u, 257u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (ascending ? " asc" : " desc"));
+      Rng data_rng(100 + n);
+      ExpectSortValueContract(TiedRows(&data_rng, n), /*lex=*/true,
+                              ascending);
+    }
+  }
+}
+
+TEST(IdealSortContractTest, ViewSortMatchesPlaintextBatcher) {
+  // The engine's cache sort: descending by the cache key, many dummies.
+  for (const size_t n : {3u, 64u, 257u}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     Rng data_rng(7 + n);
     const SharedRows input = RandomViewRows(&data_rng, n);
-
-    ProtoPair scalar;
-    SharedRows a = input;
-    ObliviousSortScalar(&scalar.proto, &a, kViewSortKeyCol, false);
-
-    ProtoPair batched;
-    SharedRows b = input;
-    ObliviousSort(&batched.proto, &b, kViewSortKeyCol, false);
-
-    ExpectRowsIdentical(a, b);
-    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-    // The internal resharing streams must stay aligned: the next draw
-    // from each side is the same word.
-    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-              batched.proto.internal_rng()->Next32());
+    ProtoPair p;
+    SharedRows rows = input;
+    ObliviousSort(&p.proto, &rows, kViewSortKeyCol, false);
+    EXPECT_EQ(RecoverAll(rows),
+              PlaintextBatcherSort(input, kViewSortKeyCol, 0, false, false));
   }
-}
-
-TEST(BatchedScalarEquivalenceTest, LexSortMatchesScalarBitForBit) {
-  for (const size_t n : {0u, 2u, 5u, 64u, 100u, 257u}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    Rng data_rng(100 + n);
-    SharedRows input(4);
-    for (size_t i = 0; i < n; ++i) {
-      input.AppendSecretRow({data_rng.Next32() % 13, data_rng.Next32() % 7,
-                             data_rng.Next32(), data_rng.Next32()},
-                            &data_rng);
-    }
-
-    ProtoPair scalar;
-    SharedRows a = input;
-    ObliviousSortLexScalar(&scalar.proto, &a, 0, 1, true);
-
-    ProtoPair batched;
-    SharedRows b = input;
-    ObliviousSortLex(&batched.proto, &b, 0, 1, true);
-
-    ExpectRowsIdentical(a, b);
-    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-              batched.proto.internal_rng()->Next32());
-  }
-}
-
-TEST(BatchedScalarEquivalenceTest, MuxRowsBatchMatchesScalarMuxSwaps) {
-  const size_t n = 64;
-  Rng data_rng(5);
-  const SharedRows input = RandomViewRows(&data_rng, n);
-  // Disjoint pairs (2p, 2p+1) with a deterministic swap-bit pattern, shared
-  // with fixed masks so neither path consumes protocol randomness for them.
-  std::vector<RowPair> pairs;
-  std::vector<WordShares> bits;
-  for (uint32_t p = 0; p < n / 2; ++p) {
-    pairs.push_back({2 * p, 2 * p + 1});
-    const Word bit = (p % 3 == 0) ? 1 : 0;
-    bits.push_back(WordShares{0xABCD0000u + p, (0xABCD0000u + p) ^ bit});
-  }
-
-  ProtoPair scalar;
-  SharedRows a = input;
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    scalar.proto.MuxSwapRows(&a, pairs[p].a, pairs[p].b, bits[p]);
-  }
-  ProtoPair batched;
-  SharedRows b = input;
-  batched.proto.MuxRowsBatch(&b, pairs.data(), bits.data(), pairs.size());
-  ExpectRowsIdentical(a, b);
-  ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-  EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-            batched.proto.internal_rng()->Next32());
 }
 
 TEST(BatchedScalarEquivalenceTest, CountWhereBatchMatchesPerTaskCounts) {

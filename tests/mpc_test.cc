@@ -7,6 +7,7 @@
 #include "src/mpc/cost_model.h"
 #include "src/mpc/party.h"
 #include "src/mpc/protocol.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {
@@ -168,10 +169,10 @@ TEST_F(ProtocolTest, MuxSwapRowsSwapsIffBitSet) {
   rows.AppendSecretRow({1, 2}, &rng_);
   rows.AppendSecretRow({3, 4}, &rng_);
 
-  proto_.MuxSwapRows(&rows, 0, 1, proto_.FreshShare(0));
+  MuxSwapRows(&proto_, &rows, 0, 1, proto_.FreshShare(0));
   EXPECT_EQ(rows.RecoverRow(0), (std::vector<Word>{1, 2}));
 
-  proto_.MuxSwapRows(&rows, 0, 1, proto_.FreshShare(1));
+  MuxSwapRows(&proto_, &rows, 0, 1, proto_.FreshShare(1));
   EXPECT_EQ(rows.RecoverRow(0), (std::vector<Word>{3, 4}));
   EXPECT_EQ(rows.RecoverRow(1), (std::vector<Word>{1, 2}));
 }
@@ -181,7 +182,7 @@ TEST_F(ProtocolTest, MuxSwapRefreshesShares) {
   rows.AppendSecretRow({7}, &rng_);
   rows.AppendSecretRow({9}, &rng_);
   const Word old_share = rows.share0_at(0, 0);
-  proto_.MuxSwapRows(&rows, 0, 1, proto_.FreshShare(0));
+  MuxSwapRows(&proto_, &rows, 0, 1, proto_.FreshShare(0));
   // Even a non-swap re-shares the payload (new garbled labels).
   EXPECT_NE(rows.share0_at(0, 0), old_share);
   EXPECT_EQ(rows.RecoverAt(0, 0), 7u);
@@ -191,11 +192,53 @@ TEST_F(ProtocolTest, CompareExchangeOrdersPairs) {
   SharedRows rows(2);
   rows.AppendSecretRow({30, 1}, &rng_);
   rows.AppendSecretRow({10, 2}, &rng_);
-  proto_.CompareExchangeRows(&rows, 0, 1, 0, /*ascending=*/true);
+  CompareExchangeRows(&proto_, &rows, 0, 1, 0, /*ascending=*/true);
   EXPECT_EQ(rows.RecoverAt(0, 0), 10u);
   EXPECT_EQ(rows.RecoverAt(1, 0), 30u);
-  proto_.CompareExchangeRows(&rows, 0, 1, 0, /*ascending=*/false);
+  CompareExchangeRows(&proto_, &rows, 0, 1, 0, /*ascending=*/false);
   EXPECT_EQ(rows.RecoverAt(0, 0), 30u);
+}
+
+TEST_F(ProtocolTest, PermuteAndReshareGathersAndRemasksEveryWord) {
+  for (const size_t width : {1u, 3u}) {
+    SharedRows rows(width);
+    for (Word r = 0; r < 5; ++r) {
+      std::vector<Word> row(width);
+      for (size_t c = 0; c < width; ++c) row[c] = 10 * r + c;
+      rows.AppendSecretRow(row, &rng_);
+    }
+    const SharedRows before = rows;
+    const std::vector<uint32_t> src_of_dst = {3, 0, 4, 1, 2};
+    Rng expect_stream = *proto_.internal_rng();
+    const CircuitStats stats_before = proto_.Snapshot();
+    proto_.PermuteAndReshare(&rows, src_of_dst.data());
+    for (size_t k = 0; k < 5; ++k) {
+      EXPECT_EQ(rows.RecoverRow(k), before.RecoverRow(src_of_dst[k]));
+    }
+    // S0 holds exactly the next ceil(5w/2) draws, two masks per draw, in
+    // destination word order; the stream advanced by that many draws.
+    std::vector<Word> masks;
+    while (masks.size() < 5 * width) {
+      const uint64_t m = expect_stream.Next64();
+      masks.push_back(static_cast<Word>(m));
+      masks.push_back(static_cast<Word>(m >> 32));
+    }
+    masks.resize(5 * width);
+    EXPECT_EQ(rows.shares0(), masks);
+    EXPECT_EQ(proto_.internal_rng()->Next64(), expect_stream.Next64());
+    // The kernel charges nothing: callers charge the network.
+    EXPECT_EQ(proto_.Snapshot().and_gates, stats_before.and_gates);
+  }
+}
+
+TEST_F(ProtocolTest, PermuteAndReshareRejectsNonPermutations) {
+  SharedRows rows(1);
+  rows.AppendSecretRow({1}, &rng_);
+  rows.AppendSecretRow({2}, &rng_);
+  const std::vector<uint32_t> repeated = {1, 1};
+  EXPECT_DEATH(proto_.PermuteAndReshare(&rows, repeated.data()), "");
+  const std::vector<uint32_t> out_of_range = {0, 2};
+  EXPECT_DEATH(proto_.PermuteAndReshare(&rows, out_of_range.data()), "");
 }
 
 TEST_F(ProtocolTest, SumColumn) {

@@ -21,8 +21,10 @@
 #include "src/oblivious/filter.h"
 #include "src/oblivious/formats.h"
 #include "src/oblivious/join.h"
+#include "src/oblivious/shuffle.h"
 #include "src/oblivious/sort.h"
 #include "src/relational/encode.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {
@@ -81,6 +83,57 @@ TEST(ObliviousInvariantsTest, SortTraceIndependentOfData) {
   ExpectSameTrace(base, run(5, 1.0), "sort(all real)");
   EXPECT_EQ(base.stats.and_gates % SortNetworkCompareExchanges(kN), 0u)
       << "sort cost should be a per-exchange multiple of the network size";
+}
+
+TEST(ObliviousInvariantsTest, NetworkSharesAndStreamIndependentOfData) {
+  // Sorts and shuffles move rows once, re-masking every output word from
+  // the protocol stream in destination order. So under the same party
+  // seeds, what S0 holds afterwards and where the stream stands are the
+  // same for any two inputs of equal shape, whatever their payloads — and
+  // whatever permutation the data induced.
+  constexpr size_t kN = 96;
+  enum class Op { kSort, kLexSort, kShuffle, kShuffleSort };
+  struct Outcome {
+    std::vector<Word> share0;
+    RngState stream;
+    std::vector<std::vector<Word>> recovered;
+  };
+  auto run = [&](Op op, uint64_t data_seed, double density) {
+    Party s0(0, 5), s1(1, 6);
+    Protocol2PC proto(&s0, &s1, CostModel::Free());
+    Rng rng(data_seed);
+    SharedRows rows = MakeSourceRows(kN, density, &rng);
+    switch (op) {
+      case Op::kSort:
+        ObliviousSort(&proto, &rows, kSrcKeyCol, true);
+        break;
+      case Op::kLexSort:
+        ObliviousSortLex(&proto, &rows, kSrcKeyCol, kSrcDateCol, false);
+        break;
+      case Op::kShuffle:
+        ObliviousRandomPermute(&proto, &rows);
+        break;
+      case Op::kShuffleSort:
+        ObliviousShuffleSort(&proto, &rows, kSrcKeyCol, true);
+        break;
+    }
+    Outcome out{rows.shares0(), proto.internal_rng()->ExportState(), {}};
+    for (size_t r = 0; r < rows.size(); ++r) {
+      out.recovered.push_back(rows.RecoverRow(r));
+    }
+    return out;
+  };
+  for (const Op op : {Op::kSort, Op::kLexSort, Op::kShuffle,
+                      Op::kShuffleSort}) {
+    SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)));
+    const Outcome a = run(op, 11, 0.5);
+    const Outcome b = run(op, 4242, 0.9);
+    EXPECT_NE(a.recovered, b.recovered);  // the payloads really differ
+    EXPECT_EQ(a.share0, b.share0);
+    for (size_t i = 0; i < 4; ++i) EXPECT_EQ(a.stream.s[i], b.stream.s[i]);
+    EXPECT_EQ(a.stream.have_cached_normal, b.stream.have_cached_normal);
+    EXPECT_EQ(a.stream.cached_normal_bits, b.stream.cached_normal_bits);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "src/oblivious/sort.h"
 #include "src/relational/encode.h"
 #include "src/relational/query.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {

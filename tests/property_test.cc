@@ -22,6 +22,7 @@
 #include "src/relational/encode.h"
 #include "src/storage/sharded_cache.h"
 #include "src/workload/generators.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {

@@ -162,6 +162,20 @@ TEST(WaksmanNetworkTest, LayersAreDisjointAndMatchTheSizeFormulas) {
   }
 }
 
+TEST(WaksmanNetworkTest, ClosedFormLayerSizesMatchTheRoutedNetwork) {
+  // ObliviousShuffle charges ShuffleNetworkLayerSizes without routing; the
+  // charge must be exactly the layers WaksmanNetwork programs, for every n.
+  for (size_t n = 0; n <= 300; ++n) {
+    std::vector<uint32_t> identity(n);
+    std::iota(identity.begin(), identity.end(), 0u);
+    std::vector<uint64_t> routed;
+    for (const auto& layer : WaksmanNetwork(identity)) {
+      routed.push_back(layer.size());
+    }
+    EXPECT_EQ(ShuffleNetworkLayerSizes(n), routed) << "n=" << n;
+  }
+}
+
 TEST(WaksmanNetworkTest, TopologyIsAPureFunctionOfN) {
   // Two different permutations of the same size must produce networks with
   // identical switch *placement* — only the control bits may differ. This
@@ -267,6 +281,40 @@ TEST(ObliviousShuffleTest, ChargesExactlyOneMuxSwapPerSwitch) {
   const CircuitStats after = p.proto.stats();
   EXPECT_EQ(after.and_gates - before.and_gates,
             ShuffleNetworkSwitches(100) * kViewWidth * kWordBits);
+}
+
+TEST(ObliviousShuffleTest, ChargesOneEventPerLayerAndRemasksEveryWord) {
+  // The switches are never run: the topology is charged layer by layer and
+  // the rows move once, every output word under a fresh stream mask.
+  Rng rng(8);
+  for (const size_t n : {2u, 3u, 37u, 128u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    SharedRows rows = RandomViewRows(&rng, n);
+    ProtoPair p;
+    const std::vector<uint32_t> perm = DrawPublicPermutation(&p.proto, n);
+    p.proto.EnableBatchTrace(true);
+    Rng stream = *p.proto.internal_rng();
+    ObliviousShuffle(&p.proto, &rows, perm);
+    std::vector<uint64_t> layers;
+    for (const uint64_t s : ShuffleNetworkLayerSizes(n)) {
+      if (s > 0) layers.push_back(s);
+    }
+    ASSERT_EQ(p.proto.batch_trace().size(), layers.size());
+    for (size_t l = 0; l < layers.size(); ++l) {
+      const BatchTraceEvent& e = p.proto.batch_trace()[l];
+      EXPECT_EQ(e.kind, BatchTraceEvent::Kind::kMuxSwap) << "layer " << l;
+      EXPECT_EQ(e.ops, layers[l]) << "layer " << l;
+      EXPECT_EQ(e.cost.and_gates, layers[l] * kViewWidth * kWordBits);
+    }
+    std::vector<Word> masks;
+    while (masks.size() < n * kViewWidth) {
+      const uint64_t m = stream.Next64();
+      masks.push_back(static_cast<Word>(m));
+      masks.push_back(static_cast<Word>(m >> 32));
+    }
+    masks.resize(n * kViewWidth);
+    EXPECT_EQ(rows.shares0(), masks);
+  }
 }
 
 TEST(ObliviousShuffleTest, BatchedEqualsSerialAtAllThreadCounts) {

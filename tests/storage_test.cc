@@ -9,6 +9,7 @@
 #include "src/storage/outsourced_store.h"
 #include "src/storage/secure_cache.h"
 #include "src/storage/serialization.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {

@@ -184,50 +184,46 @@ if [ -f "$SHARDED_CACHE" ]; then
   fi
 fi
 
-# Batch-kernel hygiene (batched oblivious execution): the sorting
-# network code (src/oblivious/sort.cc) must take randomness exclusively
-# through the protocol's stream, via the *Site kernels, which draw inline
-# in scalar word order. A raw Rng construction or direct Next32/Next64 draw
-# in that file would desynchronize the batched path from the scalar
-# resharing sequence and silently break the bit-for-bit equivalence
-# contract (tests/batched_oblivious_test.cc is the runtime half of this
-# check).
-BATCH_SCHEDULER=src/oblivious/sort.cc
-if [ -f "$BATCH_SCHEDULER" ]; then
-  hits=$(grep -nE '\bRng\s*\(|Next32|Next64|internal_rng|ShareWord|Laplace' \
-         "$BATCH_SCHEDULER")
+# Network hygiene (sorts and shuffles run as their ideal functionality):
+# every sorting and permutation network moves its secret rows through ONE
+# kernel, Protocol2PC::PermuteAndReshare — one gather, one fresh mask per
+# output word, drawn in destination order, so S0's shares and the stream
+# cursor are pure functions of the public shape. The network code itself
+# (src/oblivious/sort.cc, src/oblivious/shuffle.cc) must therefore neither
+# draw randomness nor write shares: a raw Rng, a direct Next32/Next64 draw,
+# ShareWord or a direct share write there would be a second, unaudited mask
+# source. The shuffle's only other stream use is the public permutation,
+# drawn once via DrawReshareMasks inside DrawPublicPermutation.
+# (tests/batched_oblivious_test.cc and oblivious_invariants_test.cc are the
+# runtime half of this check.)
+NETWORK_FORBIDDEN='\bRng\s*\(|Next32|Next64|internal_rng|ShareWord|Laplace|mutable_share[01]|set_share[01]_at|SetRowWord'
+for net in src/oblivious/sort.cc src/oblivious/shuffle.cc; do
+  [ -f "$net" ] || continue
+  hits=$(grep -nE "$NETWORK_FORBIDDEN" "$net")
   if [ -n "$hits" ]; then
-    say "FORBIDDEN direct randomness in the sorting network code:"
+    say "FORBIDDEN mask source or share write in network code ($net):"
     echo "$hits"
     echo
-    say "Sorting networks must draw only via the inline *Site kernels"
-    say "(src/mpc/protocol.h)."
+    say "Networks move rows only through Protocol2PC::PermuteAndReshare"
+    say "(src/mpc/protocol.h), the one sanctioned mask source."
     exit 1
   fi
+  if ! grep -q 'PermuteAndReshare' "$net"; then
+    say "$net no longer moves rows through Protocol2PC::PermuteAndReshare."
+    exit 1
+  fi
+done
+hits=$(grep -n 'DrawReshareMasks' src/oblivious/sort.cc)
+if [ -n "$hits" ]; then
+  say "FORBIDDEN stream draw in the sorting network:"
+  echo "$hits"
+  exit 1
 fi
-
-# Shuffle-network hygiene (Waksman-shuffle satellite): the permutation that
-# programs a Waksman network's control bits must come exclusively from the
-# jointly seeded resharing stream (Protocol2PC::DrawReshareMasks, consumed
-# by DrawPublicPermutation) — that is what makes the control bits *public*
-# and the shuffle simulatable — and the switches themselves draw their
-# reshares only through MuxRowsBatch's inline *Site kernels. A raw Rng
-# construction, a direct Next32/Next64 draw, or any share-level peeking in
-# src/oblivious/shuffle.cc would either desynchronize both parties' view of
-# the permutation or leak payload bits into the routing program.
-SHUFFLE_SCHEDULER=src/oblivious/shuffle.cc
-if [ -f "$SHUFFLE_SCHEDULER" ]; then
-  hits=$(grep -nE '\bRng\s*\(|Next32|Next64|internal_rng|ShareWord|Laplace' \
-         "$SHUFFLE_SCHEDULER")
-  if [ -n "$hits" ]; then
-    say "FORBIDDEN direct randomness in the shuffle network:"
-    echo "$hits"
-    echo
-    say "Shuffle control bits may only be programmed from permutations drawn"
-    say "via Protocol2PC::DrawReshareMasks (DrawPublicPermutation in"
-    say "src/oblivious/shuffle.h)."
-    exit 1
-  fi
+draws=$(grep -c 'DrawReshareMasks' src/oblivious/shuffle.cc)
+if [ "$draws" -ne 1 ]; then
+  say "src/oblivious/shuffle.cc must draw from the stream exactly once, in"
+  say "DrawPublicPermutation (found $draws DrawReshareMasks calls)."
+  exit 1
 fi
 # Checkpoint hygiene (crash-recovery tentpole): restore NEVER draws. The
 # ICKP codec overwrites RNG cursors, counters and thetas with serialized

@@ -37,11 +37,13 @@ Exit codes: 0 clean, 1 unsuppressed findings, unused markers (or self-test
 mismatch), 2 usage/manifest error.
 
 Analysis is intra-procedural and token-based by design: taint propagates
-through declarations, assignments and member chains, not through container
-mutation or across call boundaries (the manifest's sources/tainted_params
-entries are the cross-procedure escape hatches). Ideal-functionality scan
-kernels whose aggregate circuit cost is charged up front are annotated with
-oblivious-ok regions rather than modeled.
+through declarations, assignments and member chains, and an element or
+member store (`keys[r] = ...`, `items[r].major = ...`) taints the whole
+container in the scope that declares it; it does not propagate through
+calls that mutate a container or across call boundaries (the manifest's
+sources/tainted_params entries are the cross-procedure escape hatches).
+Ideal-functionality scan kernels whose aggregate circuit cost is charged up
+front are annotated with oblivious-ok regions rather than modeled.
 """
 
 import argparse
@@ -242,6 +244,13 @@ def is_secret(flags):
     return SECRET in flags or (HALF0 in flags and HALF1 in flags)
 
 
+def merge_taint(old, new):
+    """Taint of a value that mixes `old` and `new` (either may be None)."""
+    if SECRET in (old, new) or {old, new} == {HALF0, HALF1}:
+        return SECRET
+    return new or old
+
+
 # ----------------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------------
@@ -321,6 +330,12 @@ class Suppressions:
 _CONTROL_KEYWORDS = {"if", "while", "switch", "for"}
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 _DECL_QUALS = {"const", "constexpr", "static", "inline", "mutable", "volatile"}
+# Identifiers that can precede a name without declaring it.
+_NOT_A_TYPE = {"return", "case", "else", "do", "throw", "new", "delete",
+               "sizeof", "goto", "co_return", "co_yield", "co_await",
+               "operator", "using", "namespace"}
+# Tokens that can follow the name in a declaration.
+_DECL_FOLLOW = {";", "=", "(", "{", "[", ",", ")", ":"}
 # Boundary tokens that terminate the backward scan for a ternary condition.
 _TERNARY_STOPS = {";", ",", "{", "}", "(", "[", "?", ":", "return", "case"} | _ASSIGN_OPS
 
@@ -369,6 +384,11 @@ class FileAnalyzer:
         # Scope stack of {ident: taint flag}. Scope 0 is file scope.
         self.scopes = [{}]
         self.pending_params = {}
+        # Names declared in each scope (parallel to `scopes`), and names
+        # declared inside parentheses, which belong to the next block
+        # (function parameters, for-init and lambda parameters).
+        self.declared = [set()]
+        self.pending_decls = set()
 
     # -- taint helpers ------------------------------------------------------
 
@@ -377,6 +397,42 @@ class FileAnalyzer:
             if name in scope:
                 return scope[name]
         return None
+
+    def declaring_scope(self, name):
+        """Innermost scope that declares or already tracks `name`."""
+        for scope, names in zip(reversed(self.scopes), reversed(self.declared)):
+            if name in scope or name in names:
+                return scope
+        return None
+
+    def taint_container(self, name, flag, paren_depth):
+        """An element/member store of `flag` into `name` taints the whole
+        container where it is declared; a store never clears it."""
+        if paren_depth > 0 and name in self.pending_decls:
+            self.pending_params[name] = merge_taint(
+                self.pending_params.get(name), flag)
+            return
+        scope = self.declaring_scope(name)
+        if scope is None:
+            scope = self.scopes[-1]
+        scope[name] = merge_taint(scope.get(name), flag)
+
+    def note_declaration(self, i, paren_depth):
+        """Records toks[i] as declared when it follows a type-ish token and
+        precedes a declarator terminator (`T x;`, `T* x = ...`, `T x(...)`)."""
+        toks = self.toks
+        if i == 0 or i + 1 >= len(toks):
+            return
+        prev, nxt = toks[i - 1], toks[i + 1]
+        if nxt.val not in _DECL_FOLLOW:
+            return
+        if not ((prev.kind == "id" and prev.val not in _NOT_A_TYPE) or
+                prev.val in (">", "*", "&", "&&")):
+            return
+        if paren_depth > 0:
+            self.pending_decls.add(toks[i].val)
+        else:
+            self.declared[-1].add(toks[i].val)
 
     def bind(self, name, flag, paren_depth):
         if flag is None:
@@ -390,8 +446,11 @@ class FileAnalyzer:
             return
         if paren_depth > 0:
             self.pending_params[name] = flag
-        else:
-            self.scopes[-1][name] = flag
+            return
+        # An assignment updates the variable where it is declared, so taint
+        # picked up inside a nested block outlives the block.
+        scope = self.declaring_scope(name)
+        (scope if scope is not None else self.scopes[-1])[name] = flag
 
     # -- expression evaluation ---------------------------------------------
 
@@ -498,27 +557,36 @@ class FileAnalyzer:
         target's taint from the right-hand side."""
         toks = self.toks
         op = toks[i].val
-        # Identify the target identifier (walk back over a trailing subscript
-        # and a member chain to the base identifier).
-        k = i - 1
-        if k >= 0 and toks[k].val == "]":
-            depth = 0
-            while k >= 0:
-                if toks[k].val == "]":
-                    depth += 1
-                elif toks[k].val == "[":
-                    depth -= 1
-                    if depth == 0:
-                        break
+
+        def skip_subscripts_back(k):
+            """Index of the token before the trailing `[...]`s ending at k."""
+            while k >= 0 and toks[k].val == "]":
+                depth = 0
+                while k >= 0:
+                    if toks[k].val == "]":
+                        depth += 1
+                    elif toks[k].val == "[":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    k -= 1
                 k -= 1
-            k -= 1
+            return k
+
+        # Identify the target: walk back over a postfix chain of subscripts
+        # and member accesses (`items[r].major`, `p->rows[i]`) to its base
+        # identifier. Any subscript or member makes it an element store.
+        k = skip_subscripts_back(i - 1)
         if k < 0 or toks[k].kind != "id":
             return
+        element = k != i - 1
         base = k
         while base - 1 >= 0 and toks[base - 1].val in (".", "->"):
-            if base - 2 >= 0 and toks[base - 2].kind == "id":
-                base -= 2
-            elif base - 2 >= 0 and toks[base - 2].val == ")":
+            prev = skip_subscripts_back(base - 2)
+            if prev >= 0 and toks[prev].kind == "id":
+                base = prev
+                element = True
+            elif prev >= 0 and toks[prev].val == ")":
                 return  # assignment through a call result: not tracked
             else:
                 break
@@ -547,13 +615,11 @@ class FileAnalyzer:
         new = SECRET if is_secret(flags) else (
             HALF0 if HALF0 in flags else (HALF1 if HALF1 in flags else None))
         if op != "=":  # compound: merge with existing taint
-            old = self.lookup(target)
-            if old == SECRET or new == SECRET or {old, new} == {HALF0, HALF1}:
-                new = SECRET
-            else:
-                new = new or old
-        if toks[base] is not toks[k] and new is None:
-            return  # member/element cleared: keep the container's taint
+            new = merge_taint(self.lookup(target), new)
+        if element:
+            if new is not None:
+                self.taint_container(target, new, paren_depth)
+            return  # a public element store keeps the container's taint
         self.bind(target, new, paren_depth)
 
     # -- main walk ----------------------------------------------------------
@@ -589,11 +655,15 @@ class FileAnalyzer:
                     scope = dict(self.pending_params)
                     self.pending_params = {}
                     self.scopes.append(scope)
+                    self.declared.append(self.pending_decls)
+                    self.pending_decls = set()
                 elif v == "}":
                     if len(self.scopes) > 1:
                         self.scopes.pop()
+                        self.declared.pop()
                 elif v == ";" and paren_depth == 0:
                     self.pending_params = {}
+                    self.pending_decls = set()
                 elif v == "?":
                     self.check_ternary(i)
                 elif v == "[":
@@ -610,6 +680,7 @@ class FileAnalyzer:
                 i += 1
                 continue
             if t.kind == "id":
+                self.note_declaration(i, paren_depth)
                 if v in _CONTROL_KEYWORDS:
                     i = self.check_control(i)
                     continue
