@@ -86,11 +86,11 @@ int main() {
               static_cast<unsigned long long>(s.final_true_count));
   std::printf("final view answer     : %llu\n",
               static_cast<unsigned long long>(
-                  pipeline.step_metrics().back().view_answer));
+                  pipeline.stage2().step_metrics().back().view_answer));
   std::printf("avg |error|           : %.2f\n", s.l1_error.mean());
   std::printf("V1 rows / V2 rows     : %llu / %llu\n",
-              static_cast<unsigned long long>(pipeline.v1().size()),
-              static_cast<unsigned long long>(pipeline.v2().size()));
+              static_cast<unsigned long long>(pipeline.stage1().view().size()),
+              static_cast<unsigned long long>(pipeline.stage2().view().size()));
   std::printf("total MPC time (sim)  : %.2f s\n", s.total_mpc_seconds);
   std::printf("avg QET (sim)         : %.4f s\n", s.qet_seconds.mean());
   return 0;

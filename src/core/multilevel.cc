@@ -1,12 +1,9 @@
 #include "src/core/multilevel.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/common/logging.h"
-#include "src/oblivious/filter.h"
 #include "src/oblivious/formats.h"
 #include "src/relational/encode.h"
+#include "src/storage/serialization.h"
 
 namespace incshrink {
 
@@ -49,56 +46,27 @@ IncShrinkConfig MakeStage2Config(const MultiLevelPipeline::Config& c) {
   return cfg;
 }
 
-}  // namespace
-
-MultiLevelPipeline::MultiLevelPipeline(const Config& config)
-    : config_(config),
-      s0_(0, config.seed * 31 + 7),
-      s1_(1, config.seed * 37 + 11),
-      proto_(&s0_, &s1_, config.cost_model),
-      stage1_cfg_(MakeStage1Config(config)),
-      stage2_cfg_(MakeStage2Config(config)),
-      accountant1_(stage1_cfg_.eps, stage1_cfg_.budget_b, stage1_cfg_.omega),
-      accountant2_(stage2_cfg_.eps, stage2_cfg_.budget_b, stage2_cfg_.omega),
-      transform1_(&proto_, stage1_cfg_, &accountant1_),
-      transform2_(&proto_, stage2_cfg_, &accountant2_),
-      shrink1_(&proto_, stage1_cfg_),
-      shrink2_(&proto_, stage2_cfg_),
-      store_t1_(kSrcWidth),
-      store_v1_(kSrcWidth),
-      store_t2_(kSrcWidth),
-      cache1_(&proto_, 1, stage1_cfg_.eps, stage1_cfg_.budget_b,
-              stage1_cfg_.seed, config.cost_model),
-      cache2_(&proto_, 1, stage2_cfg_.eps, stage2_cfg_.budget_b,
-              stage2_cfg_.seed, config.cost_model),
-      truth_(WindowJoinQuery{config.join.window_lo, config.join.window_hi,
-                             config.join.use_window}),
-      owner_rng_(config.seed ^ 0xBEEF1234CAFE5678ull),
-      uploader1_(UploadPolicyConfig{}, config.upload_rows_t1,
-                 /*is_public=*/false, config.seed),
-      uploader2_(UploadPolicyConfig{}, config.upload_rows_t2,
-                 /*is_public=*/false, config.seed) {
-  INCSHRINK_CHECK(stage1_cfg_.Validate().ok());
-  INCSHRINK_CHECK(stage2_cfg_.Validate().ok());
-}
-
-SharedRows MultiLevelPipeline::ViewRowsToSourceRows(const SharedRows& rows) {
+/// Re-encodes view rows [first, view.size()) as source rows (the input
+/// encoding stage 2 expects), charging and drawing on `proto`. Dummy view
+/// rows become dummy source rows.
+SharedRows ViewRowsToSourceRows(Protocol2PC* proto, const SharedRows& view,
+                                size_t first) {
   // In-circuit rewiring: per row, copy key/date/rid and map isView -> valid.
-  proto_.AccountAndGates(rows.size() * kSrcWidth * kWordBits);
-  Rng* rng = proto_.internal_rng();
+  proto->AccountAndGates((view.size() - first) * kSrcWidth * kWordBits);
+  Rng* rng = proto->internal_rng();
   SharedRows out(kSrcWidth);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<Word> view = rows.RecoverRow(r);
+  for (size_t r = first; r < view.size(); ++r) {
+    const std::vector<Word> row = view.RecoverRow(r);
     // oblivious-ok: ideal-functionality rewiring — per-row copy/mux circuit
     // charged above; exactly one fresh-shared source row is emitted per view
     // row, real or dummy
-    if (view[kViewIsViewCol] & 1) {
+    if (row[kViewIsViewCol] & 1) {
       std::vector<Word> src(kSrcWidth);
       src[kSrcValidCol] = 1;
-      src[kSrcKeyCol] = view[kViewKeyCol];
-      src[kSrcDateCol] = view[kViewDate1Col];
-      src[kSrcRidCol] = view[kViewRid1Col];
-      src[kSrcPayloadCol] = view[kViewRid2Col];
+      src[kSrcKeyCol] = row[kViewKeyCol];
+      src[kSrcDateCol] = row[kViewDate1Col];
+      src[kSrcRidCol] = row[kViewRid1Col];
+      src[kSrcPayloadCol] = row[kViewRid2Col];
       out.AppendSecretRow(src, rng);
     } else {
       out.AppendSecretRow(MakeDummySourceRow(rng), rng);
@@ -107,72 +75,41 @@ SharedRows MultiLevelPipeline::ViewRowsToSourceRows(const SharedRows& rows) {
   return out;
 }
 
+}  // namespace
+
+MultiLevelPipeline::MultiLevelPipeline(const Config& config)
+    : stage1_(MakeStage1Config(config)),
+      stage2_(MakeStage2Config(config)),
+      t2_owner_(MakeOwner2(stage2_.config(), stage2_.channel2())) {}
+
 Status MultiLevelPipeline::Step(const std::vector<LogicalRecord>& new1,
                                 const std::vector<LogicalRecord>& new2) {
-  ++t_;
-  StepMetrics m;
-  m.t = t_;
+  const size_t v1_before = stage1().view().size();
+  INCSHRINK_RETURN_NOT_OK(stage1_.Step(new1, {}));
 
-  // Ground truth: filtered T1 stream joined with T2.
-  std::vector<LogicalRecord> filtered;
+  // Stage 1's fresh V1 rows are stage 2's T1 upload for this step; the
+  // filtered arrivals ride along as the frame's ground truth.
+  UploadFrame handoff;
+  handoff.owner_step = t2_owner_.clock() + 1;
+  handoff.batch =
+      ViewRowsToSourceRows(stage2_.proto(), stage1().view().rows(), v1_before);
+  const FilterSpec& filter = stage1().config().filter;
   for (const LogicalRecord& rec : new1) {
-    if (rec.payload >= config_.filter.lo && rec.payload <= config_.filter.hi)
-      filtered.push_back(rec);
+    if (rec.payload >= filter.lo && rec.payload <= filter.hi) {
+      handoff.arrivals.push_back(rec);
+    }
   }
-  m.true_count = truth_.Step(filtered, new2);
-
-  // Owner uploads (fixed-size policy for both streams; records beyond the
-  // batch size wait in the uploaders' queues).
-  store_t1_.AppendBatch(uploader1_.BuildBatch(t_, new1, &owner_rng_));
-  store_t2_.AppendBatch(uploader2_.BuildBatch(t_, new2, &owner_rng_));
-
-  // ---- Stage 1: oblivious selection + DP shrink into V1. Its synchronized
-  // rows form the (public-size) input stream of stage 2.
-  const CircuitStats before1 = proto_.Snapshot();
-  INCSHRINK_ASSIGN_OR_RETURN(
-      const TransformProtocol::StepResult tr1,
-      transform1_.StepFilter(t_, store_t1_, &cache1_));
-  (void)tr1;
-  MaterializedView synced;
-  shrink1_.Step(t_, &cache1_.shard(0), &synced);
-  // The freshly synchronized block is both appended to V1 and re-encoded
-  // as stage-2 source rows.
-  view1_.Append(synced.rows());
-  store_v1_.AppendBatch(ViewRowsToSourceRows(synced.rows()));
-  m.transform_seconds = proto_.SimulatedSecondsSince(before1);
-
-  // ---- Stage 2: truncated join of the stage-1 output stream against T2.
-  const CircuitStats before2 = proto_.Snapshot();
-  INCSHRINK_ASSIGN_OR_RETURN(
-      const TransformProtocol::StepResult tr2,
-      transform2_.Step(t_, store_v1_, store_t2_, &cache2_));
-  (void)tr2;
-  const ShrinkResult sync2 = shrink2_.Step(t_, &cache2_.shard(0), &view2_);
-  m.shrink_seconds = proto_.SimulatedSecondsSince(before2);
-  m.synced = sync2.fired;
-  m.sync_rows = sync2.sync_rows;
-
-  // ---- Analyst query over V2.
-  const CircuitStats before_q = proto_.Snapshot();
-  const WordShares count = ObliviousCountWhere(
-      &proto_, view2_.rows(), kViewIsViewCol, ObliviousPredicate::True());
-  m.view_answer = proto_.Reveal(count);
-  m.query_seconds = proto_.SimulatedSecondsSince(before_q);
-
-  m.l1_error = std::abs(static_cast<double>(m.view_answer) -
-                        static_cast<double>(m.true_count));
-  m.relative_error =
-      m.l1_error / std::max<double>(1.0, static_cast<double>(m.true_count));
-  m.view_rows = view2_.size();
-  m.cache_rows = cache1_.size() + cache2_.size();
-  metrics_.push_back(m);
-  return Status::OK();
+  // Lockstep leaves both channels empty between steps, so neither push can
+  // be refused.
+  INCSHRINK_CHECK(stage2_.channel1()->TryPush(EncodeUploadFrame(handoff)));
+  INCSHRINK_CHECK(t2_owner_.TryStep(new2));
+  return stage2_.Step();
 }
 
 RunSummary MultiLevelPipeline::Summary() const {
-  RunSummary s = SummarizeSteps(metrics_);
-  s.final_view_mb = view1_.SizeMb() + view2_.SizeMb();
-  s.final_view_rows = view2_.size();
+  RunSummary s = stage2_.Summary();
+  s.total_mpc_seconds += stage1().Summary().total_mpc_seconds;
+  s.final_view_mb += stage1().view().SizeMb();
   return s;
 }
 

@@ -4,42 +4,35 @@
 #include <vector>
 
 #include "src/core/config.h"
+#include "src/core/engine.h"
 #include "src/core/metrics.h"
-#include "src/core/shrink.h"
-#include "src/core/transform.h"
-#include "src/core/upload_policy.h"
-#include "src/dp/accountant.h"
-#include "src/mpc/party.h"
-#include "src/mpc/protocol.h"
+#include "src/core/owner_client.h"
 #include "src/relational/growing_table.h"
-#include "src/relational/query.h"
-#include "src/storage/materialized_view.h"
-#include "src/storage/outsourced_store.h"
-#include "src/storage/sharded_cache.h"
 
 namespace incshrink {
 
 /// \brief Multi-level "Transform-and-Shrink" (paper Section 8, "Support for
-/// complex query workloads").
+/// complex query workloads") as a chain of two IncShrink engines.
 ///
 /// Decomposes the query  sigma_pred(T1) JOIN T2  into two chained
-/// IncShrink operators, each with its own secure cache, Shrink instance and
+/// deployments, each with its own secure cache, Shrink, noise stream and
 /// privacy slice:
 ///
-///   stage 1: an oblivious-selection Transform over the T1 stream whose
-///            DP-sized Shrink output materializes the filtered view V1;
-///   stage 2: a truncated windowed join whose T1-side *input stream* is the
-///            stage-1 synchronization output, materializing V2 — the view
-///            queries are answered from.
+///   stage 1: a SynchronousDeployment of a filter view over the T1 stream
+///            (sDPTimer, eps1, b = 1, no flush) whose DP-sized Shrink
+///            output materializes V1;
+///   stage 2: an Engine of a truncated windowed join, fed by one T2
+///            OwnerClient and, on its T1 channel, by the rows each stage-1
+///            step appended to V1, re-encoded as source rows. It
+///            materializes V2 — the view queries are answered from.
 ///
-/// The per-stage budgets eps1/eps2 are exactly the knobs the Appendix-D.2
-/// allocation optimizer tunes: a starving stage floods its successor with
-/// dummy rows, degrading end-to-end efficiency but not correctness.
-///
-/// Both stages share one protocol instance (and so one noise stream); each
-/// stage's cache is an unsharded ShardedSecureCache and its Shrink the
-/// engine's Shrink protocol. The two owners upload fixed-size padded
-/// batches through OwnerUploader, drawing shares from one owner stream.
+/// Each step hands stage 1's fresh V1 rows to stage 2 as one upload frame
+/// whose evaluation-only arrivals are the filtered T1 records, so stage 2's
+/// own pair drain, ground truth, Transform, Shrink, query and StepMetrics
+/// do all the per-step work. The per-stage budgets eps1/eps2 are exactly
+/// the knobs the Appendix-D.2 allocation optimizer tunes: a starving stage
+/// floods its successor with dummy rows, degrading end-to-end efficiency
+/// but not correctness.
 class MultiLevelPipeline {
  public:
   struct Config {
@@ -65,47 +58,19 @@ class MultiLevelPipeline {
   Status Step(const std::vector<LogicalRecord>& new1,
               const std::vector<LogicalRecord>& new2);
 
-  const std::vector<StepMetrics>& step_metrics() const { return metrics_; }
+  /// Stage 2's summary, with stage 1's MPC time and both views' sizes.
   RunSummary Summary() const;
 
-  const MaterializedView& v1() const { return view1_; }
-  const MaterializedView& v2() const { return view2_; }
-  Protocol2PC* proto() { return &proto_; }
+  /// The filter engine (V1) and the join engine (V2).
+  Engine& stage1() { return stage1_.engine(); }
+  const Engine& stage1() const { return stage1_.engine(); }
+  Engine& stage2() { return stage2_; }
+  const Engine& stage2() const { return stage2_; }
 
  private:
-  /// Converts stage-1 synchronized view rows back into source-format rows
-  /// (the input encoding stage 2 expects). Dummy view rows become dummy
-  /// source rows.
-  SharedRows ViewRowsToSourceRows(const SharedRows& rows);
-
-  Config config_;
-  Party s0_;
-  Party s1_;
-  Protocol2PC proto_;
-
-  IncShrinkConfig stage1_cfg_;
-  IncShrinkConfig stage2_cfg_;
-  PrivacyAccountant accountant1_;
-  PrivacyAccountant accountant2_;
-  TransformProtocol transform1_;
-  TransformProtocol transform2_;
-  Shrink shrink1_;
-  Shrink shrink2_;
-
-  OutsourcedTable store_t1_;  ///< raw T1 uploads
-  OutsourcedTable store_v1_;  ///< stage-1 outputs, re-encoded as sources
-  OutsourcedTable store_t2_;  ///< raw T2 uploads
-  ShardedSecureCache cache1_;
-  ShardedSecureCache cache2_;
-  MaterializedView view1_;
-  MaterializedView view2_;
-
-  WindowJoinCounter truth_;
-  Rng owner_rng_;  ///< share randomness of both owners, T1 drawn first
-  OwnerUploader uploader1_;
-  OwnerUploader uploader2_;
-  uint64_t t_ = 0;
-  std::vector<StepMetrics> metrics_;
+  SynchronousDeployment stage1_;
+  Engine stage2_;
+  OwnerClient t2_owner_;
 };
 
 }  // namespace incshrink

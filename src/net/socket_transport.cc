@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/oblivious/formats.h"
 #include "src/storage/serialization.h"
 
 #if defined(__linux__)
@@ -252,10 +253,17 @@ void SocketListener::DeliverBuffered(Conn* conn) {
     if (options_.validate_frames) {
       // The payload decoder is the bounds-checked DecodeUploadFrame: any
       // truncation, hostile dimension header or trailing garbage surfaces
-      // here as a Status and costs the peer its connection.
+      // here as a Status and costs the peer its connection. So does a
+      // well-formed batch of the wrong row width, which would otherwise
+      // reach the engine and cost the honest partner frame of its pair.
       const Result<UploadFrame> decoded = DecodeUploadFrame(frame.payload);
       if (!decoded.ok()) {
         RejectConn(conn, decoded.status());
+        return;
+      }
+      if (decoded->batch.width() != kSrcWidth) {
+        RejectConn(conn,
+                   Status::InvalidArgument("upload frame has wrong row width"));
         return;
       }
     }

@@ -52,7 +52,8 @@ struct SocketListenerOptions {
   /// this is rejected before any allocation.
   uint32_t max_frame_bytes = 1u << 20;
   /// Decode every payload with DecodeUploadFrame before delivery, rejecting
-  /// malformed/hostile frames at the door. Costs one decode per frame;
+  /// malformed/hostile frames — and batches whose row width is not
+  /// kSrcWidth — at the door. Costs one decode per frame;
   /// disable only for trusted in-process benchmarking of raw byte movement.
   bool validate_frames = true;
   /// Use epoll(7) when available (Linux); false forces the portable poll(2)

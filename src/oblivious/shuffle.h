@@ -30,8 +30,9 @@ namespace incshrink {
 /// event (the topology, hence every charge, is a pure function of n), and
 /// the rows then move once through Protocol2PC::PermuteAndReshare, every
 /// output word under a fresh mask — the switches themselves are never run.
-/// WaksmanNetwork is the routing program that charge stands for; the tests
-/// check that it realizes any permutation with exactly the charged layers.
+/// The routing program that charge stands for lives with the tests
+/// (WaksmanNetwork in tests/reference_ops.h), which check that it realizes
+/// any permutation with exactly the charged layers.
 /// The only parallelism is across the jobs of a multi-job submission
 /// (BatchExec), so output shares, the internal randomness stream and the
 /// aggregate circuit cost are bit-identical at any thread count
@@ -40,21 +41,6 @@ namespace incshrink {
 /// The permutation itself is drawn exclusively through DrawReshareMasks
 /// (tools/check_no_hidden_entropy.sh pins this), so every draw count is a
 /// pure function of n too and the whole circuit trace is input-invariant.
-
-/// One programmed switch: obliviously swap `pair` iff `swap` (the public
-/// control bit). All switches of a network execute regardless of their
-/// control bit — the bit only decides the crossing.
-struct ProgrammedSwitch {
-  RowPair pair;
-  bool swap = false;
-};
-
-/// Builds the programmed Waksman network realizing, for an array `src` of
-/// perm.size() rows, the in-place rearrangement dst[k] = src[perm[k]].
-/// Returned as execution layers of pairwise-disjoint switches. `perm` must
-/// be a permutation of [0, n).
-std::vector<std::vector<ProgrammedSwitch>> WaksmanNetwork(
-    const std::vector<uint32_t>& perm);
 
 /// Number of switches the n-wire network contains (pure function of n):
 /// 0 for n < 2, and S(n) = floor(n/2) + (n even ? n/2 - 1 : floor(n/2))
@@ -69,7 +55,7 @@ uint64_t ShuffleNetworkDepth(size_t n);
 /// Per-layer switch counts in execution order, from the closed-form
 /// recursion (no routing); sums to ShuffleNetworkSwitches(n). ObliviousShuffle
 /// charges one batch per non-empty entry; the tests pin it against the
-/// layers WaksmanNetwork programs.
+/// layers the routed reference network programs.
 std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n);
 
 /// Draws a uniformly random public permutation of [0, n) from the

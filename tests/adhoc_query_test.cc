@@ -170,7 +170,7 @@ TEST(MultiLevelOverflowTest, BurstOnT1DrainsWithoutRecordLoss) {
   for (int t = 0; t < 29; ++t) {
     ASSERT_TRUE(pipeline.Step({}, {}).ok());
   }
-  EXPECT_EQ(CountRealRows(pipeline.v1()), 6u);
+  EXPECT_EQ(CountRealRows(pipeline.stage1().view()), 6u);
 }
 
 TEST(MultiLevelOverflowTest, WithoutBurstSameRecordsArriveDirectly) {
@@ -188,7 +188,7 @@ TEST(MultiLevelOverflowTest, WithoutBurstSameRecordsArriveDirectly) {
   for (int t = 0; t < 27; ++t) {
     ASSERT_TRUE(pipeline.Step({}, {}).ok());
   }
-  EXPECT_EQ(CountRealRows(pipeline.v1()), 6u);
+  EXPECT_EQ(CountRealRows(pipeline.stage1().view()), 6u);
 }
 
 TEST(MultiLevelOverflowTest, BurstOnT2DrainsThroughJoin) {
@@ -211,7 +211,7 @@ TEST(MultiLevelOverflowTest, BurstOnT2DrainsThroughJoin) {
   for (int t = 0; t < 35; ++t) {
     ASSERT_TRUE(pipeline.Step({}, {}).ok());
   }
-  const StepMetrics& last = pipeline.step_metrics().back();
+  const StepMetrics& last = pipeline.stage2().step_metrics().back();
   EXPECT_EQ(last.true_count, 6u);
   EXPECT_GE(last.view_answer, 3u);  // > 2 is only reachable via the T2 owner's queue
   EXPECT_LE(last.view_answer, 6u);
@@ -234,7 +234,7 @@ TEST(MultiLevelOverflowTest, SustainedOverCapacityStreamKeepsDraining) {
   for (int t = 0; t < 30; ++t) {
     ASSERT_TRUE(pipeline.Step({}, {}).ok());
   }
-  EXPECT_EQ(CountRealRows(pipeline.v1()), 24u);
+  EXPECT_EQ(CountRealRows(pipeline.stage1().view()), 24u);
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ TEST(GoldenTranscriptTest, FilterViewMatchesBaseline) {
 
 // Multi-level Transform-and-Shrink (Section 8): a selection stage feeding a
 // windowed join, both on sDPTimer. Pins every per-step observable, the
-// V1/V2 sizes and the public circuit totals of the shared protocol.
+// V1/V2 sizes and the public circuit totals of both stages' protocols.
 TEST(GoldenTranscriptTest, MultiLevelPipelineMatchesBaseline) {
   MultiLevelPipeline::Config config;
   config.eps1 = 1.0;
@@ -209,17 +209,18 @@ TEST(GoldenTranscriptTest, MultiLevelPipelineMatchesBaseline) {
 
   std::ostringstream out;
   out << "# canonical multi-level pipeline run (integers only)\n";
-  for (const StepMetrics& m : pipeline.step_metrics()) {
+  for (const StepMetrics& m : pipeline.stage2().step_metrics()) {
     out << "step t=" << m.t << " answer=" << m.view_answer
         << " truth=" << m.true_count << " view_rows=" << m.view_rows
         << " cache_rows=" << m.cache_rows << " synced=" << (m.synced ? 1 : 0)
         << " sync_rows=" << m.sync_rows << "\n";
   }
   const RunSummary summary = pipeline.Summary();
-  const CircuitStats stats = pipeline.proto()->Snapshot();
+  CircuitStats stats = pipeline.stage1().proto()->Snapshot();
+  stats.Add(pipeline.stage2().proto()->Snapshot());
   out << "summary updates=" << summary.updates << " steps=" << summary.steps
-      << " v1_rows=" << pipeline.v1().size()
-      << " v2_rows=" << pipeline.v2().size() << "\n";
+      << " v1_rows=" << pipeline.stage1().view().size()
+      << " v2_rows=" << pipeline.stage2().view().size() << "\n";
   out << "circuit and_gates=" << stats.and_gates
       << " xor_gates=" << stats.xor_gates << " bytes=" << stats.bytes
       << " rounds=" << stats.rounds << "\n";

@@ -41,6 +41,7 @@
 #include "src/oblivious/shuffle.h"
 #include "src/oblivious/sort.h"
 #include "src/workload/generators.h"
+#include "tests/reference_ops.h"
 
 namespace incshrink {
 namespace {

@@ -408,6 +408,69 @@ TEST_P(SocketLoopbackTest, HostileFramesRejectedWithoutPerturbingOthers) {
   EXPECT_EQ(ch1.push_rejects(), 0u);
 }
 
+TEST_P(SocketLoopbackTest, WrongWidthFrameCostsOnlyItsConnection) {
+  // A well-formed frame whose batch has the wrong row width is rejected at
+  // the listener: it never reaches the engine, so it cannot cost the honest
+  // T1 frame waiting for its pair, and the honest pair that follows steps
+  // exactly as an in-process run does.
+  const GeneratedWorkload workload = SmallTpcDs();
+  IncShrinkConfig config = DefaultTpcDsConfig();
+  config.strategy = Strategy::kDpTimer;
+  SynchronousDeployment reference(config);
+  ASSERT_TRUE(reference.Step(workload.t1[0], workload.t2[0]).ok());
+
+  Engine engine(config);
+  SocketListener listener({engine.channel1(), engine.channel2()},
+                          ListenerOptions());
+  ASSERT_TRUE(listener.Bind().ok());
+  UploadChannel out1(4), out2(4);
+  OwnerClient owner1 = MakeOwner1(config, &out1);
+  OwnerClient owner2 = MakeOwner2(config, &out2);
+  ASSERT_TRUE(owner1.TryStep(workload.t1[0]));
+  ASSERT_TRUE(owner2.TryStep(workload.t2[0]));
+  std::vector<uint8_t> frame1, frame2;
+  ASSERT_TRUE(out1.TryPop(&frame1));
+  ASSERT_TRUE(out2.TryPop(&frame2));
+
+  SocketSender t1_sender;
+  ASSERT_TRUE(t1_sender.Connect("127.0.0.1", listener.port(), 0).ok());
+  ASSERT_TRUE(t1_sender.QueueFrame(frame1).ok());
+  ASSERT_TRUE(t1_sender.Flush().ok());
+  ASSERT_TRUE(
+      PollUntil(&listener, [&] { return engine.channel1()->depth() == 1; }));
+
+  // A forged T2 frame for the same owner step, three words per row.
+  UploadFrame forged;
+  forged.owner_step = 1;
+  forged.batch = SharedRows(3);
+  Rng rng(5);
+  forged.batch.AppendSecretRow({1, 2, 3}, &rng);
+  std::vector<uint8_t> wire = EncodeHello(1);
+  AppendEnvelope(&wire, 1, EncodeUploadFrame(forged));
+  RawConn attacker(listener.port());
+  ASSERT_TRUE(attacker.ok());
+  attacker.Send(wire);
+  ASSERT_TRUE(
+      PollUntil(&listener, [&] { return listener.frames_rejected() == 1; }));
+  EXPECT_TRUE(engine.channel2()->empty());
+  EXPECT_EQ(engine.channel1()->depth(), 1u);
+
+  // The T2 owner's honest frame completes the pair.
+  SocketSender t2_sender;
+  ASSERT_TRUE(t2_sender.Connect("127.0.0.1", listener.port(), 1).ok());
+  ASSERT_TRUE(t2_sender.QueueFrame(frame2).ok());
+  ASSERT_TRUE(t2_sender.Flush().ok());
+  ASSERT_TRUE(
+      PollUntil(&listener, [&] { return engine.channel2()->depth() == 1; }));
+  ASSERT_TRUE(engine.Step().ok());
+
+  EXPECT_EQ(engine.frames_drained(), 2u);
+  ExpectSummaryIdentical(engine.Summary(), reference.Summary());
+  EXPECT_EQ(engine.transcript(), reference.transcript());
+  EXPECT_EQ(listener.frames_rejected(), 1u);
+  EXPECT_EQ(listener.frames_delivered(), 2u);
+}
+
 TEST_P(SocketLoopbackTest, FullChannelStagesFramesWithoutChannelRejects) {
   // A full engine channel pauses the connection (frames stay staged in the
   // listener, reads stop) instead of dropping frames or polluting the

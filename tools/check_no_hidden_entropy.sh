@@ -184,6 +184,25 @@ if [ -f "$SHARDED_CACHE" ]; then
   fi
 fi
 
+# Server-party hygiene (one protocol stream per engine): a server Party is
+# the randomness source of a Protocol2PC, so every Party object in src/ is
+# built by the engine (src/core/engine.{h,cc}) or, for the sharded cache's
+# per-shard substreams, by the DeriveShardSeed-seeded constructor checked
+# above. A Party declared or constructed anywhere else would be a private
+# protocol stream beside the engine's; a component that needs its own
+# stream runs its own Engine instead (MultiLevelPipeline chains two).
+# Pointers and references (`Party*`, `Party&`) pass freely.
+hits=$(grep -rnE '\bParty\b[[:space:]]*[^*&[:space:]]|\bParty[[:space:]]+[[:alnum:]_]' src \
+       | grep -vE '^src/(core/engine\.(h|cc)|storage/sharded_cache\.(h|cc)|mpc/party\.h):')
+if [ -n "$hits" ]; then
+  say "FORBIDDEN server Party outside the engine and the sharded cache:"
+  echo "$hits"
+  echo
+  say "Build an Engine (src/core/engine.h) instead of a second protocol"
+  say "stream; only it and DeriveShardSeed-seeded shards own parties."
+  exit 1
+fi
+
 # Network hygiene (sorts and shuffles run as their ideal functionality):
 # every sorting and permutation network moves its secret rows through ONE
 # kernel, Protocol2PC::PermuteAndReshare — one gather, one fresh mask per
